@@ -14,8 +14,7 @@ from .cm import (
     CMQuadratic,
     cm_tau,
     combined_s2_term,
-    identity1_check,
-    identity2_check,
+    identity_check,
     pi_from_identity,
     pi_reference_digits,
     quasiperiod_relation_check,

@@ -19,7 +19,14 @@ import argparse
 import json
 import sys
 
-from .cm import CMQuadratic, pi_from_identity, pi_reference_digits, quasiperiod_relation_check, theorem_general_check
+from .cm import (
+    CMQuadratic,
+    identity_check,
+    pi_from_identity,
+    pi_reference_digits,
+    quasiperiod_relation_check,
+    theorem_general_check,
+)
 from .errors import IndeterminateFormError, ReductionError, RegionError
 from .hypergeometric import legendre_F, legendre_F2
 from .modular import delta_tau, eisenstein, eta, lambda_tau_reduced, normalized_j, s2, tau_point
@@ -124,12 +131,9 @@ def _run_eval(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from .cm import identity1_check, identity2_check
-
     ctx = ctx_new(args.digits)
-    checks = {1: identity1_check, 2: identity2_check}
     which = [args.identity] if args.identity else [1, 2]
-    return _emit_reports([checks[w](ctx) for w in which], args.json)
+    return _emit_reports([identity_check(w, ctx) for w in which], args.json)
 
 
 def _run_pi(args) -> int:

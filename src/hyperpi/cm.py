@@ -13,10 +13,12 @@ combines with Bruns' relation into the master formula
 
 whose instances at tau = i (lambda = 1/2) and tau = 1+i (lambda = -1) are
 the identities  8/pi = F(1/2) F2(1/2)  and  1/pi = F(-1)^2 - F(-1) F2(-1).
+Both are written once, in _identity; identity_check(which, ctx) and the
+pi engine pi_from_identity(which, digits) read them from there.
 
 The factor (3g3/2g2) s2(tau) is always evaluated here in the combined form
 
-    (E2(tau) - 3/(pi Im tau)) / (3 F^2),
+    (E2(tau) - 3/(pi Im tau)) / (3 F^2) = s2_bracket(tau) / (3 F^2),
 
 which is finite even at the zeros of E6 (both identity points are 0/0 for
 the raw E4/E6 form) and equals g2/g3 times s2 elsewhere, as the tests
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from .hypergeometric import legendre_F, legendre_F2
 from .legendre import quasiperiod_bruns
-from .modular import TauPoint, eisenstein, lambda_tau_reduced, tau_point
+from .modular import TauPoint, lambda_tau_reduced, s2_bracket, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference, truncated_digits
 from .reports import FormulaReport, make_report
 
@@ -75,18 +77,21 @@ def combined_s2_term(t: TauPoint, F, ctx: PrecisionCtx):
     F must be 2F1(1/2,1/2;1;lambda(tau)).  Finite at the zeros of E6 where
     the raw E4/E6 form of s2 is indeterminate.
     """
-    pi = pi_reference(ctx)
-    bracket = eisenstein(2, t, ctx) - 3 / (pi * t.im)
-    return bracket / (3 * F * F)
+    return s2_bracket(t, ctx) / (3 * F * F)
+
+
+def _cm_point(q: CMQuadratic, ctx: PrecisionCtx):
+    """(tau, lambda(tau), F(lambda), combined s2 term) at the CM point of q."""
+    t = cm_tau(q, ctx)
+    lam = lambda_tau_reduced(t, ctx)
+    F = legendre_F(lam, ctx)
+    return t, lam, F, combined_s2_term(t, F, ctx)
 
 
 def quasiperiod_relation_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
     """Omega1 H1 Im(tau) - Omega1^2 Im(tau) (3g3/2g2) s2(tau) = pi."""
-    t = cm_tau(q, ctx)
-    lam = lambda_tau_reduced(t, ctx)
+    t, lam, _, term = _cm_point(q, ctx)
     pair = quasiperiod_bruns(lam, ctx)
-    F = legendre_F(lam, ctx)
-    term = combined_s2_term(t, F, ctx)
     lhs = pair.omega1 * pair.h1 * t.im - pair.omega1**2 * t.im * term
     rhs = pi_reference(ctx)
     return make_report(f"quasiperiod {q.label()}", lhs, rhs, ctx)
@@ -96,33 +101,31 @@ def theorem_general_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
     """Master CM formula:
     -F^2 [(2l-1)/3 + (3g3/2g2) s2] + l(1-l) d(F^2)/dl = 2a/(pi sqrt(d))."""
     mp = ctx.mp
-    t = cm_tau(q, ctx)
-    lam = lambda_tau_reduced(t, ctx)
-    F = legendre_F(lam, ctx)
+    t, lam, F, term = _cm_point(q, ctx)
     F2v = legendre_F2(lam, ctx)
-    term = combined_s2_term(t, F, ctx)
     lhs = -F * F * ((2 * lam - 1) / 3 + term) + lam * (1 - lam) * (F * F2v / 2)
     rhs = 2 * q.a / (pi_reference(ctx) * mp.sqrt(mp.mpf(q.d)))
     return make_report(f"theorem-general {q.label()}", lhs, rhs, ctx)
 
 
-def identity1_check(ctx: PrecisionCtx) -> FormulaReport:
-    """8/pi = F(1/2) F2(1/2)."""
+def _identity(which: int, ctx: PrecisionCtx):
+    """(k, value) with value = k/pi: identity 1 is 8/pi = F(1/2) F2(1/2),
+    identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1)."""
     mp = ctx.mp
-    half = mp.mpf(1) / 2
-    lhs = 8 / pi_reference(ctx)
-    rhs = legendre_F(half, ctx) * legendre_F2(half, ctx)
-    return make_report("identity1", lhs, rhs, ctx)
+    if which == 1:
+        half = mp.mpf(1) / 2
+        return 8, legendre_F(half, ctx) * legendre_F2(half, ctx)
+    if which == 2:
+        minus_one = mp.mpf(-1)
+        F = legendre_F(minus_one, ctx)
+        return 1, F * F - F * legendre_F2(minus_one, ctx)
+    raise ValueError("which must be 1 or 2")
 
 
-def identity2_check(ctx: PrecisionCtx) -> FormulaReport:
-    """1/pi = F(-1)^2 - F(-1) F2(-1)."""
-    mp = ctx.mp
-    minus_one = mp.mpf(-1)
-    F = legendre_F(minus_one, ctx)
-    lhs = 1 / pi_reference(ctx)
-    rhs = F * F - F * legendre_F2(minus_one, ctx)
-    return make_report("identity2", lhs, rhs, ctx)
+def identity_check(which: int, ctx: PrecisionCtx) -> FormulaReport:
+    """k/pi (reference pi) against the hypergeometric side of identity `which`."""
+    k, value = _identity(which, ctx)
+    return make_report(f"identity{which}", k / pi_reference(ctx), value, ctx)
 
 
 def pi_from_identity(which: int, digits: int) -> str:
@@ -132,25 +135,10 @@ def pi_from_identity(which: int, digits: int) -> str:
     pi_from_identity(1, 10) == "3.141592653".  The z = 1/2 series gains
     about 0.30 decimal digits per term, so cost is linear in digits.
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    ctx = ctx_new(digits)
-    mp = ctx.mp
-    if which == 1:
-        half = mp.mpf(1) / 2
-        value = 8 / (legendre_F(half, ctx) * legendre_F2(half, ctx))
-    else:
-        minus_one = mp.mpf(-1)
-        F = legendre_F(minus_one, ctx)
-        value = 1 / (F * F - F * legendre_F2(minus_one, ctx))
-    return truncated_digits(value, digits)
+    k, value = _identity(which, ctx_new(digits))
+    return truncated_digits(k / value, digits)
 
 
 def pi_reference_digits(digits: int) -> str:
     """Truncated digit string of pi_reference, for digit-for-digit comparison."""
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    ctx = ctx_new(digits)
-    return truncated_digits(pi_reference(ctx), digits)
+    return truncated_digits(pi_reference(ctx_new(digits)), digits)

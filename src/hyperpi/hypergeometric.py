@@ -89,13 +89,6 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     raise ArithmeticError(f"2F1 series did not meet tolerance in {max_terms} terms")
 
 
-def _pfaff(p: HypParams, z, ctx: PrecisionCtx):
-    w = z / (z - 1)
-    prefactor = (1 - z) ** ctx.real(-p.a)
-    value, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
-    return prefactor * value
-
-
 def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     """2F1(a, b; c; z) by direct series or Pfaff transformation.
 
@@ -113,7 +106,8 @@ def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     if z.real < 0:
         w = z / (z - 1)
         if abs(w) <= half:
-            return _pfaff(p, z, ctx)
+            value, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
+            return (1 - z) ** ctx.real(-p.a) * value
     if az <= ctx.real(DIRECT_RADIUS):
         return _series(p, z, ctx)[0]
     raise RegionError(

@@ -57,23 +57,17 @@ def weierstrass_from_lambda(lam) -> LegendreCurve:
 
     Degenerate lambda in {0, 1} is allowed and flagged (disc = 0).
     """
-    if isinstance(lam, (int, Fraction)):
+    if isinstance(lam, int):
         lam = Fraction(lam)
-        g2 = Fraction(4, 3) * (lam * lam - lam + 1)
-        g3 = Fraction(4, 27) * (lam + 1) * (2 * lam - 1) * (lam - 2)
-        disc = 16 * lam * lam * (1 - lam) ** 2
-        e0 = Fraction(-(1 + lam), 3)
-        e1 = Fraction(2 - lam, 3)
-        e_lam = Fraction(2 * lam - 1, 3)
-    else:
-        g2 = 4 * (lam * lam - lam + 1) / 3
-        g3 = 4 * (lam + 1) * (2 * lam - 1) * (lam - 2) / 27
-        disc = 16 * lam * lam * (1 - lam) ** 2
-        e0 = -(1 + lam) / 3
-        e1 = (2 - lam) / 3
-        e_lam = (2 * lam - 1) / 3
+    disc = 16 * lam * lam * (1 - lam) ** 2
     return LegendreCurve(
-        lam=lam, g2=g2, g3=g3, disc=disc, e0=e0, e1=e1, e_lam=e_lam,
+        lam=lam,
+        g2=4 * (lam * lam - lam + 1) / 3,
+        g3=4 * (lam + 1) * (2 * lam - 1) * (lam - 2) / 27,
+        disc=disc,
+        e0=-(1 + lam) / 3,
+        e1=(2 - lam) / 3,
+        e_lam=(2 * lam - 1) / 3,
         degenerate=bool(disc == 0),
     )
 
@@ -197,19 +191,31 @@ def homothety_ratios(t: TauPoint, ctx: PrecisionCtx):
 # Period-identity checks (eta route vs hypergeometric route)
 # ---------------------------------------------------------------------------
 
-def _twelfth_root(x, ctx: PrecisionCtx):
-    return x ** (ctx.mp.mpf(1) / 12)
+def _period_sides(t: TauPoint, curve: LegendreCurve, scale, F_arg, ctx: PrecisionCtx):
+    """(lhs, rhs) of omega1 = 2^(1/3) pi [i/scale] (l(1-l))^(1/6) disc^(-1/12) F(F_arg).
 
-
-def _eta_route_period(t: TauPoint, disc, ctx: PrecisionCtx):
-    """omega1 = Delta(tau)^(1/12) / disc^(1/12) with Delta(tau)^(1/12)
-    written as 2 pi eta(tau)^2 (no 12th root of Delta is ever taken)."""
-    return 2 * pi_reference(ctx) * eta(t, ctx) ** 2 / _twelfth_root(disc, ctx)
+    lhs is the eta route Delta(tau)^(1/12) / disc^(1/12), with
+    Delta(tau)^(1/12) written as 2 pi eta(tau)^2 (no 12th root of Delta is
+    ever taken); rhs is the hypergeometric route.  scale is None around
+    infinity, tau around 0 and (tau+1) sqrt(1-l) around 1.
+    """
+    mp = ctx.mp
+    pi = pi_reference(ctx)
+    lam = curve.lam
+    disc_12 = curve.disc ** (mp.mpf(1) / 12)
+    prefactor = mp.mpf(2) ** (mp.mpf(1) / 3) * pi
+    if scale is not None:
+        prefactor = prefactor * mp.mpc(0, 1) / scale
+    rhs = prefactor * (lam * (1 - lam)) ** (mp.mpf(1) / 6) / disc_12 * legendre_F(F_arg, ctx)
+    return 2 * pi * eta(t, ctx) ** 2 / disc_12, rhs
 
 
 def _real_in_unit_interval(lam, ctx) -> bool:
     z = ctx.complex(lam)
     return abs(z.imag) <= ctx.eps * 16 and 0 < z.real < 1
+
+
+_SIXTH_ROOT_UNVERIFIED = "lambda outside (0,1): principal sixth root unverified"
 
 
 def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -> FormulaReport:
@@ -218,39 +224,17 @@ def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -
     lhs comes from the eta/discriminant route, rhs from the hypergeometric
     route; curve should be built from lambda(tau).
     """
-    mp = ctx.mp
-    lam = curve.lam
-    flags = []
-    if not _real_in_unit_interval(lam, ctx):
-        flags.append("lambda outside (0,1): principal sixth root unverified")
-    lhs = _eta_route_period(t, curve.disc, ctx)
-    rhs = (
-        mp.mpf(2) ** (mp.mpf(1) / 3) * pi_reference(ctx)
-        * (lam * (1 - lam)) ** (mp.mpf(1) / 6)
-        / _twelfth_root(curve.disc, ctx)
-        * legendre_F(lam, ctx)
-    )
-    label = f"period-identity tau={_tau_label(t, ctx)}"
-    return make_report(label, lhs, rhs, ctx, flags)
+    flags = [] if _real_in_unit_interval(curve.lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
+    lhs, rhs = _period_sides(t, curve, None, curve.lam, ctx)
+    return make_report(f"period-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
 
 
 def check_theorem_transform(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     """Around 0: omega1 = 2^(1/3) (pi i / tau) (l(1-l))^(1/6) disc^(-1/12) F(1-l)."""
-    mp = ctx.mp
     lam = lambda_tau_reduced(t, ctx)
-    curve = weierstrass_from_lambda(lam)
-    flags = []
-    if not _real_in_unit_interval(lam, ctx):
-        flags.append("lambda outside (0,1): principal sixth root unverified")
-    lhs = _eta_route_period(t, curve.disc, ctx)
-    rhs = (
-        mp.mpf(2) ** (mp.mpf(1) / 3) * pi_reference(ctx) * mp.mpc(0, 1) / t.tau
-        * (lam * (1 - lam)) ** (mp.mpf(1) / 6)
-        / _twelfth_root(curve.disc, ctx)
-        * legendre_F(1 - lam, ctx)
-    )
-    label = f"transform-identity tau={_tau_label(t, ctx)}"
-    return make_report(label, lhs, rhs, ctx, flags)
+    flags = [] if _real_in_unit_interval(lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
+    lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), t.tau, 1 - lam, ctx)
+    return make_report(f"transform-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
 
 
 def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
@@ -264,20 +248,12 @@ def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     """
     mp = ctx.mp
     lam = lambda_tau_reduced(t, ctx)
-    curve = weierstrass_from_lambda(lam)
     flags = []
     if _near_negative_cut(lam * (1 - lam), ctx):
         flags.append("lambda(1-lambda) on the negative real cut: principal branch is a convention")
-    lhs = _eta_route_period(t, curve.disc, ctx)
-    rhs = (
-        mp.mpf(2) ** (mp.mpf(1) / 3) * pi_reference(ctx) * mp.mpc(0, 1)
-        / ((t.tau + 1) * mp.sqrt(1 - lam))
-        * (lam * (1 - lam)) ** (mp.mpf(1) / 6)
-        / _twelfth_root(curve.disc, ctx)
-        * legendre_F(1 / (1 - lam), ctx)
-    )
-    label = f"around-one-identity tau={_tau_label(t, ctx)}"
-    report = make_report(label, lhs, rhs, ctx, flags)
+    scale = (t.tau + 1) * mp.sqrt(1 - lam)
+    lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), scale, 1 / (1 - lam), ctx)
+    report = make_report(f"around-one-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
     if not report.passed:
         ratio = lhs / rhs
         report.branch_flags.append(

@@ -265,15 +265,19 @@ class TransformWord:
         return tau
 
     def apply_to_lambda(self, lam):
-        # T and T^-1 both act as the involution x -> x/(x-1); S as x -> 1-x.
+        # Carry the pair (x, 1-x).  S swaps it; T and T^-1 both act as the
+        # involution x -> x/(x-1), i.e. (x, y) -> (-x/y, 1/y) since x + y = 1.
+        # No letter subtracts two nearly equal numbers, so lambda keeps its
+        # relative precision near the cusps, where it is huge.
+        x, y = lam, 1 - lam
         for letter in self.letters:
             if letter in (LETTER_T, LETTER_T_INV):
-                lam = lam / (lam - 1)
+                x, y = -x / y, 1 / y
             elif letter == LETTER_S:
-                lam = 1 - lam
+                x, y = y, x
             else:
                 raise ValueError(f"unknown letter {letter!r}")
-        return lam
+        return x
 
 
 def reduce_tau(t: TauPoint, ctx: PrecisionCtx, max_steps: int = 64):
@@ -331,11 +335,8 @@ def normalized_j(lam):
 
     Exact Fraction arithmetic for int/Fraction input, big-float otherwise.
     """
-    if isinstance(lam, (int, Fraction)):
+    if isinstance(lam, int):
         lam = Fraction(lam)
-        if lam in (0, 1):
-            raise ValueError("J is undefined at lambda in {0, 1}")
-        return Fraction(4, 27) * (lam * lam - lam + 1) ** 3 / (lam * lam * (1 - lam) ** 2)
     if lam == 0 or lam == 1:
         raise ValueError("J is undefined at lambda in {0, 1}")
     return 4 * (lam * lam - lam + 1) ** 3 / (27 * lam * lam * (1 - lam) ** 2)

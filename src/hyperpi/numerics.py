@@ -17,6 +17,7 @@ import re
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import numeral
 
 
 class PrecisionCtx:
@@ -142,11 +143,12 @@ def truncated_digits(x, n: int) -> str:
     """First n significant digits of x in [1, 10), truncated, as 'd.ddd...'.
 
     Used by the pi engine, which reports digits rather than a rounded value.
+    mpmath's numeral converts in pieces below 250 digits, so Python's
+    4300-digit limit on str(int) never applies.
     """
     if not (1 <= x < 10):
         raise ValueError("truncated_digits expects a value in [1, 10)")
-    scaled = int(x * 10 ** (n - 1))
-    s = str(scaled)
+    s = numeral(int(x * 10 ** (n - 1)), 10, n)
     if len(s) != n:
         raise ValueError(f"needs {n} significant digits, got {len(s)}")
     return s if n == 1 else s[0] + "." + s[1:]

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .cm import (
     CMQuadratic,
-    identity1_check,
-    identity2_check,
+    identity_check,
     pi_from_identity,
     pi_reference_digits,
     quasiperiod_relation_check,
@@ -39,7 +38,7 @@ LAMBDA_PREFIX = [16, -128, 704]
 
 def identity_reports(digits: int) -> list[FormulaReport]:
     ctx = ctx_new(digits)
-    return [identity1_check(ctx), identity2_check(ctx)]
+    return [identity_check(which, ctx) for which in (1, 2)]
 
 
 def theorem_general_reports(digits: int) -> list[FormulaReport]:

@@ -69,6 +69,12 @@ class TestEval:
         assert code == 2
         assert "requires --tau" in err
 
+    def test_negative_tau_as_single_token(self, capsys):
+        # a value starting with '-' must be attached: --tau=-0.5+1i
+        code, out, _ = run(capsys, "eval", "--fn", "eta", "--tau=-0.5+1i", "--digits", "20")
+        assert code == 0
+        assert out.strip()
+
     def test_bad_tau_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "eta", "--tau", "nonsense")
         assert code == 2

@@ -7,8 +7,7 @@ from hyperpi import (
     FormulaReport,
     cm_tau,
     combined_s2_term,
-    identity1_check,
-    identity2_check,
+    identity_check,
     lambda_tau_reduced,
     legendre_F,
     legendre_F2,
@@ -128,17 +127,17 @@ class TestMasterFormula:
 
 class TestIdentities:
     def test_identity1_100_digits(self, ctx100):
-        report = identity1_check(ctx100)
+        report = identity_check(1, ctx100)
         assert report.passed
         assert parse_real(report.abs_error, ctx100) < ctx100.real("1e-95")
 
     def test_identity2_100_digits(self, ctx100):
-        report = identity2_check(ctx100)
+        report = identity_check(2, ctx100)
         assert report.passed
         assert parse_real(report.abs_error, ctx100) < ctx100.real("1e-95")
 
     def test_identity1_10_digits(self):
-        assert identity1_check(ctx_new(10)).passed
+        assert identity_check(1, ctx_new(10)).passed
 
 
 class TestPiEngine:
@@ -162,7 +161,7 @@ class TestPiEngine:
 
 class TestFormulaReport:
     def test_json_schema_exact(self, ctx50):
-        report = identity1_check(ctx50)
+        report = identity_check(1, ctx50)
         data = json.loads(report.to_json())
         assert set(data) == {"label", "lhs", "rhs", "abs_error", "digits_requested", "pass", "branch_flags"}
         assert data["pass"] is True
@@ -184,7 +183,7 @@ class TestFormulaReport:
         assert z.imag == 1
 
     def test_dict_roundtrip(self, ctx50):
-        report = identity2_check(ctx50)
+        report = identity_check(2, ctx50)
         data = report.to_dict()
         clone = FormulaReport(
             label=data["label"],

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hyperpi import (
     IndeterminateFormError,
     ReductionError,
+    ctx_new,
     delta_tau,
     delta_tau_eisenstein,
     eisenstein,
@@ -14,6 +16,7 @@ from hyperpi import (
     lambda_tau,
     lambda_tau_reduced,
     normalized_j,
+    parse_complex,
     pi_reference,
     reduce_tau,
     s2,
@@ -193,6 +196,15 @@ class TestLambdaReduced:
         t = tau_point(_mpc(ctx50, 0, "0.1"), ctx50)
         with pytest.raises(ReductionError):
             reduce_tau(t, ctx50, max_steps=0)
+
+    def test_full_precision_near_cusp_one(self):
+        # |lambda| is about 1.45e43 here, reached through the word T T T T S T
+        ctx = ctx_new(300)
+        lam = lambda_tau_reduced(tau_point(parse_complex("0.996710+0.030397i", ctx), ctx), ctx)
+        with mpmath.workdps(340):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc("0.996710", "0.030397"))
+            expected = (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
+            assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf("1e-295") * abs(expected)
 
     @pytest.mark.parametrize("seed", [1])
     def test_functional_equations(self, ctx50, seed):

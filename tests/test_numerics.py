@@ -1,8 +1,10 @@
 import random
 
+import mpmath
 import pytest
 
 from hyperpi import agm, ctx_new, format_complex, format_real, parse_complex, parse_real, pi_reference
+from hyperpi.cm import pi_reference_digits
 from hyperpi.numerics import PrecisionCtx, _gauss_legendre_iterates, truncated_digits
 
 from _oracles import AGM_1_HALF, PI_50, machin_pi
@@ -129,3 +131,9 @@ class TestDecimalIO:
         assert truncated_digits(ctx50.real("1.999999"), 3) == "1.99"
         with pytest.raises(ValueError):
             truncated_digits(ctx50.real("0.5"), 3)
+
+    def test_digits_beyond_int_str_limit(self):
+        # Python >= 3.11 refuses str(int) above 4300 digits
+        with mpmath.workdps(5020):
+            expected = mpmath.nstr(+mpmath.pi, 5010)[:5001]
+        assert pi_reference_digits(5000) == expected
