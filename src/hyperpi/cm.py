@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .hypergeometric import legendre_F, legendre_F2
 from .legendre import quasiperiod_bruns
@@ -81,17 +82,17 @@ def combined_s2_term(t: TauPoint, F, ctx: PrecisionCtx):
 
 
 def _cm_point(q: CMQuadratic, ctx: PrecisionCtx):
-    """(tau, lambda(tau), F(lambda), combined s2 term) at the CM point of q."""
+    """(tau, lambda(tau), PeriodPair at lambda, combined s2 term) at the CM
+    point of q; the pair carries F(lambda) and F2(lambda)."""
     t = cm_tau(q, ctx)
     lam = lambda_tau_reduced(t, ctx)
-    F = legendre_F(lam, ctx)
-    return t, lam, F, combined_s2_term(t, F, ctx)
+    pair = quasiperiod_bruns(lam, ctx)
+    return t, lam, pair, combined_s2_term(t, pair.F, ctx)
 
 
 def quasiperiod_relation_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
     """Omega1 H1 Im(tau) - Omega1^2 Im(tau) (3g3/2g2) s2(tau) = pi."""
-    t, lam, _, term = _cm_point(q, ctx)
-    pair = quasiperiod_bruns(lam, ctx)
+    t, _, pair, term = _cm_point(q, ctx)
     lhs = pair.omega1 * pair.h1 * t.im - pair.omega1**2 * t.im * term
     rhs = pi_reference(ctx)
     return make_report(f"quasiperiod {q.label()}", lhs, rhs, ctx)
@@ -101,22 +102,24 @@ def theorem_general_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
     """Master CM formula:
     -F^2 [(2l-1)/3 + (3g3/2g2) s2] + l(1-l) d(F^2)/dl = 2a/(pi sqrt(d))."""
     mp = ctx.mp
-    t, lam, F, term = _cm_point(q, ctx)
-    F2v = legendre_F2(lam, ctx)
-    lhs = -F * F * ((2 * lam - 1) / 3 + term) + lam * (1 - lam) * (F * F2v / 2)
+    t, lam, pair, term = _cm_point(q, ctx)
+    F, F2 = pair.F, pair.F2
+    lhs = -F * F * ((2 * lam - 1) / 3 + term) + lam * (1 - lam) * (F * F2 / 2)
     rhs = 2 * q.a / (pi_reference(ctx) * mp.sqrt(mp.mpf(q.d)))
     return make_report(f"theorem-general {q.label()}", lhs, rhs, ctx)
 
 
 def _identity(which: int, ctx: PrecisionCtx):
     """(k, value) with value = k/pi: identity 1 is 8/pi = F(1/2) F2(1/2),
-    identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1)."""
-    mp = ctx.mp
+    identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1).
+
+    The points are Fractions, so hyp2f1 sums every series exactly: at
+    z = 1/2 directly, at z = -1 through its Pfaff image -1/(-1-1) = 1/2."""
     if which == 1:
-        half = mp.mpf(1) / 2
+        half = Fraction(1, 2)
         return 8, legendre_F(half, ctx) * legendre_F2(half, ctx)
     if which == 2:
-        minus_one = mp.mpf(-1)
+        minus_one = Fraction(-1)
         F = legendre_F(minus_one, ctx)
         return 1, F * F - F * legendre_F2(minus_one, ctx)
     raise ValueError("which must be 1 or 2")
@@ -133,7 +136,10 @@ def pi_from_identity(which: int, digits: int) -> str:
 
     Returns the first `digits` significant digits, truncated, e.g.
     pi_from_identity(1, 10) == "3.141592653".  The z = 1/2 series gains
-    about 0.30 decimal digits per term, so cost is linear in digits.
+    about 0.30 decimal digits per term, so it needs about 3.3 terms per
+    digit.  Binary splitting sums them with products of integers of 80 to
+    100 bits per digit, so the cost is not linear in digits: it grows as
+    about digits^1.6 with CPython's Karatsuba multiplication.
     """
     k, value = _identity(which, ctx_new(digits))
     return truncated_digits(k / value, digits)

@@ -10,10 +10,19 @@ Two evaluation routes cover every point this package uses:
 Anything else raises RegionError; no silent analytic continuation.
 Derivatives come from the contiguous relation
 d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), which is exact.
+
+Each route sums its series one of two ways, chosen by the type of z.  A
+Fraction z (the 1/pi identities use z = 1/2 and z = -1) is summed exactly
+by binary splitting over Python integers (Haible & Papanikolaou, 1998) and
+rounded once; its Pfaff image z/(z-1) is again a Fraction.  Any other z
+becomes an mpf or mpc and takes one working-precision multiply per term.
+Both stop by the same tail bound, the exact route with a few digits to
+spare, and the Pfaff prefactor is an mpf power either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +87,7 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     term = one
     total = one
     n = 0
-    max_terms = int(80 * (ctx.working_digits + 10)) + 200
+    max_terms = _max_terms(ctx)
     while n < max_terms:
         ratio = ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z
         term = term * ratio
@@ -89,27 +98,113 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     raise ArithmeticError(f"2F1 series did not meet tolerance in {max_terms} terms")
 
 
+def _max_terms(ctx: PrecisionCtx) -> int:
+    """Most terms either route sums before it gives up with ArithmeticError."""
+    return int(80 * (ctx.working_digits + 10)) + 200
+
+
+def _log(x: Fraction) -> float:
+    """Natural log of a positive Fraction, valid far beyond float range."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+# The exact route counts its terms from float logarithms; this many extra
+# digits of tail bound cover their rounding, so it never stops earlier than
+# _series would.
+_COUNT_MARGIN_DIGITS = 3
+
+
+def _term_count(p: HypParams, z: Fraction, ctx: PrecisionCtx) -> int:
+    """Terms the exact route sums: the first n >= 3 with term ratio below
+    rho = (1+|z|)/2 and |term_n| rho/(1-rho) <= tail_tol * 10^-margin.
+
+    This is _series' stopping rule evaluated on float logarithms of the
+    term magnitudes, so it costs no big-number work.
+    """
+    az = abs(z)
+    rho = (1 + az) / 2
+    log_rho = _log(rho)
+    log_limit = -(ctx.working_digits + 5 + _COUNT_MARGIN_DIGITS) * math.log(10) - _log(rho / (1 - rho))
+    log_az = _log(az) if az else -math.inf
+    a, b, c = float(p.a), float(p.b), float(p.c)
+    log_term = 0.0
+    for n in range(_max_terms(ctx)):
+        ratio = abs((a + n) * (b + n) / ((c + n) * (n + 1)))
+        # a zero ratio ends a terminating series (a or b = -n) and z = 0
+        log_ratio = math.log(ratio) + log_az if ratio else -math.inf
+        log_term += log_ratio
+        # strict, with slack, so float rounding never admits a ratio above rho
+        if n >= 2 and log_ratio < log_rho - 1e-9 and log_term <= log_limit:
+            return n + 1
+    raise ArithmeticError(f"2F1 series did not meet tolerance in {_max_terms(ctx)} terms")
+
+
+def _bsplit(p: HypParams, z: Fraction, n: int):
+    """Integers (P, Q, T) with T/Q = sum over 1 <= m <= n of the 2F1 terms
+    r(0)...r(m-1), where r(k) = (a+k)(b+k) z / ((c+k)(k+1)) is cleared of
+    denominators, and P/Q = r(0)...r(n-1).  Each half of a range is split
+    again, so the products are of balanced size."""
+    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
+    num_factor = cd * z.numerator
+    den_factor = ad * bd * z.denominator
+
+    def split(n0, n1):
+        if n1 - n0 == 1:
+            num = (an + n0 * ad) * (bn + n0 * bd) * num_factor
+            return num, (cn + n0 * cd) * (n0 + 1) * den_factor, num
+        m = (n0 + n1) // 2
+        P1, Q1, T1 = split(n0, m)
+        P2, Q2, T2 = split(m, n1)
+        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
+
+    return split(0, n)
+
+
+def _exact_series(p: HypParams, z: Fraction, ctx: PrecisionCtx):
+    """The 2F1 series at rational z by binary splitting; returns (value, terms_used).
+
+    The first N terms (N from _term_count) sum exactly to 1 + T/Q, which is
+    rounded once, through one integer division, to 2^-bits.  T and Q never
+    become mpfs.
+    """
+    n = _term_count(p, z, ctx)
+    _, Q, T = _bsplit(p, z, n)
+    bits = ctx.mp.prec + 32
+    # A bits-bit quotient needs only the leading bits of Q; dropping the rest
+    # keeps the division from growing with Q and adds an error of at most
+    # (1 + |value|) 2^-(bits+31).
+    shift = max(0, Q.bit_length() - bits - 32)
+    man = (((Q + T) >> shift) << bits) // (Q >> shift)
+    return ctx.mp.ldexp(ctx.mp.mpf(man), -bits), n
+
+
 def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     """2F1(a, b; c; z) by direct series or Pfaff transformation.
 
-    Raises RegionError outside the two regions; the caller must transform.
+    A Fraction z is summed exactly (binary splitting), any other z in
+    working precision; the regions are the same for both.  Raises
+    RegionError outside the two regions; the caller must transform.
     """
     mp = ctx.mp
-    z = _as_scalar(z, ctx)
-    az = abs(z)
+    zs = _as_scalar(z, ctx)
+    if isinstance(z, Fraction):
+        series = _exact_series
+    else:
+        series, z = _series, zs
+    az = abs(zs)
     # slack so boundary points computed with working-precision noise
     # (e.g. lambda(i) = 1/2 + O(eps)) still land in their region
     slack = mp.mpf(10) ** (-(ctx.working_digits // 2))
     half = ctx.real(PFAFF_RADIUS) * (1 + slack)
     if az <= half:
-        return _series(p, z, ctx)[0]
-    if z.real < 0:
+        return series(p, z, ctx)[0]
+    if zs.real < 0:
         w = z / (z - 1)
-        if abs(w) <= half:
-            value, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
-            return (1 - z) ** ctx.real(-p.a) * value
+        if abs(_as_scalar(w, ctx)) <= half:
+            value, _ = series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
+            return (1 - zs) ** ctx.real(-p.a) * value
     if az <= ctx.real(DIRECT_RADIUS):
-        return _series(p, z, ctx)[0]
+        return series(p, z, ctx)[0]
     raise RegionError(
         f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
         "(Re z < 0, |z/(z-1)| <= 1/2) regions"

@@ -74,10 +74,13 @@ def weierstrass_from_lambda(lam) -> LegendreCurve:
 
 @dataclass(frozen=True)
 class PeriodPair:
-    """First period Omega1 and first quasi-period H1 of the Weierstrass model."""
+    """First period Omega1 and first quasi-period H1 of the Weierstrass model,
+    with the values F(lambda) and F2(lambda) they were built from."""
 
     omega1: object
     h1: object
+    F: object
+    F2: object
 
     def curve_periods(self, lam):
         """(P1, Q1) of y^2 = x(x-1)(x-lambda): P1 = 2 Omega1,
@@ -95,10 +98,12 @@ def quasiperiod_bruns(lam, ctx: PrecisionCtx) -> PeriodPair:
     """(Omega1, H1) with H1 from Bruns' first differential relation;
     dOmega1/dlambda = (pi/4) 2F1(3/2, 3/2; 2; lambda) by the contiguous rule."""
     pi = pi_reference(ctx)
-    omega1 = pi * legendre_F(lam, ctx)
-    d_omega1 = pi / 4 * legendre_F2(lam, ctx)
+    F = legendre_F(lam, ctx)
+    F2 = legendre_F2(lam, ctx)
+    omega1 = pi * F
+    d_omega1 = pi / 4 * F2
     h1 = -2 * lam * (lam - 1) * d_omega1 - (2 * lam - 1) / 3 * omega1
-    return PeriodPair(omega1=omega1, h1=h1)
+    return PeriodPair(omega1=omega1, h1=h1, F=F, F2=F2)
 
 
 def bruns_residuals(lam, ctx: PrecisionCtx):
@@ -114,7 +119,7 @@ def bruns_residuals(lam, ctx: PrecisionCtx):
         raise ValueError("residuals need lambda in (0, 1/2]; endpoints are singular")
     pair = quasiperiod_bruns(lam, ctx)
     omega1, h1 = pair.omega1, pair.h1
-    d_omega1 = pi_reference(ctx) / 4 * legendre_F2(lam, ctx)
+    d_omega1 = pi_reference(ctx) / 4 * pair.F2
     denom = lam * (lam - 1)
     res1 = abs(d_omega1 + h1 / (2 * denom) + (2 * lam - 1) / (6 * denom) * omega1)
 

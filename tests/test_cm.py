@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 
 from hyperpi import (
@@ -151,6 +152,14 @@ class TestPiEngine:
         ref = pi_reference_digits(digits)
         assert pi_from_identity(1, digits) == ref
         assert pi_from_identity(2, digits) == ref
+
+    @pytest.mark.parametrize("digits", [1, 2, 10, 5000])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_mpmath_pi(self, which, digits):
+        # mpmath's own pi; ten extra rounded digits leave the first ones exact
+        with mpmath.workdps(digits + 20):
+            expected = mpmath.nstr(+mpmath.pi, digits + 10)[: digits + 1].rstrip(".")
+        assert pi_from_identity(which, digits) == expected
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,21 @@ from hyperpi import (
     legendre_dF2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _series
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _series, _term_count
+from hyperpi.numerics import ctx_new
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
+
+# F, F2 and the Pfaff images the identities need; the image (1/2, 1/2; 1) of
+# F_PARAMS is F_PARAMS itself
+EXACT_PARAMS = [F_PARAMS, F2_PARAMS, HypParams(Fraction(3, 2), Fraction(1, 2), Fraction(2))]
+EXACT_IDS = ["F", "F2", "pfaff-F2"]
+EXACT_POINTS = [Fraction(1, 2), Fraction(1, 4), Fraction(-1), Fraction(-1, 3), Fraction(3, 4)]
+
+
+@pytest.fixture(scope="module")
+def ctx1000():
+    return ctx_new(1000)
 
 
 class TestParams:
@@ -70,6 +82,8 @@ class TestHyp2f1:
             hyp2f1(F_PARAMS, ctx50.real("0.95"), ctx50)  # beyond direct radius
         with pytest.raises(RegionError):
             hyp2f1(F_PARAMS, -30, ctx50)  # Pfaff image outside |w| <= 1/2
+        with pytest.raises(RegionError):
+            hyp2f1(F_PARAMS, Fraction(31, 32), ctx50)  # exact route, same regions
 
     def test_complex_argument(self, ctx50):
         z = ctx50.mp.mpc("0.2", "0.1")
@@ -77,6 +91,41 @@ class TestHyp2f1:
         # conjugation symmetry of a real-coefficient series
         v_conj = hyp2f1(F_PARAMS, ctx50.mp.conj(z), ctx50)
         assert abs(ctx50.mp.conj(v) - v_conj) < ctx50.real("1e-58")
+
+
+class TestExactRoute:
+    """Fraction arguments: binary splitting against third-party mpmath.hyp2f1."""
+
+    @pytest.mark.parametrize("digits", [50, 1000])
+    @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("z", EXACT_POINTS, ids=str)
+    def test_against_mpmath(self, request, digits, p, z):
+        ctx = request.getfixturevalue(f"ctx{digits}")
+        r = ctx.real
+        oracle = ctx.mp.hyp2f1(r(p.a), r(p.b), r(p.c), r(z))
+        # direct points agree to the last bit; at z = -1 the Pfaff
+        # prefactor, an mpf power, adds one rounding
+        assert abs(hyp2f1(p, z, ctx) - oracle) <= ctx.eps
+
+    @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("z", EXACT_POINTS, ids=str)
+    def test_agrees_with_mpf_route(self, ctx50, p, z):
+        # the mpf route rounds once per term, so it drifts by a few units
+        # of the last working digit, far more than tail_tol
+        assert abs(hyp2f1(p, z, ctx50) - hyp2f1(p, ctx50.real(z), ctx50)) <= 1000 * ctx50.eps
+
+    @pytest.mark.parametrize(
+        "digits,z", [(50, Fraction(1, 2)), (50, Fraction(-1, 3)), (50, Fraction(3, 4)), (1000, Fraction(1, 2))]
+    )
+    def test_never_fewer_terms_than_mpf_route(self, request, digits, z):
+        ctx = request.getfixturevalue(f"ctx{digits}")
+        for p in EXACT_PARAMS:
+            assert _term_count(p, z, ctx) >= _series(p, ctx.real(z), ctx)[1]
+
+    def test_terminating_series(self, ctx50):
+        # 2F1(-2, 1/2; 1; z) = 1 - z + (3/8) z^2, which is 17/24 at z = 1/3
+        p = HypParams(Fraction(-2), Fraction(1, 2), Fraction(1))
+        assert abs(hyp2f1(p, Fraction(1, 3), ctx50) - ctx50.real(Fraction(17, 24))) <= ctx50.eps
 
 
 class TestDerivative:
