@@ -75,7 +75,7 @@ def series_counts(src: str, digits_list: list[int]) -> dict:
         ctx = ctx_new(digits)
         counts[str(digits)] = {
             label: {
-                "terms": (n := _term_count(p, half, ctx)),
+                "terms": (n := _term_count(p, half, ctx)[0]),
                 "mpf_series_terms": _series(p, ctx.real(half), ctx)[1],
                 "q_bits": _bsplit(p, half, n)[1].bit_length(),
             }

@@ -15,9 +15,12 @@ Each route sums its series one of two ways, chosen by the type of z.  A
 Fraction z (the 1/pi identities use z = 1/2 and z = -1) is summed exactly
 by binary splitting over Python integers (Haible & Papanikolaou, 1998) and
 rounded once; its Pfaff image z/(z-1) is again a Fraction.  Any other z
-becomes an mpf or mpc and takes one working-precision multiply per term.
-Both stop by the same tail bound, the exact route with a few digits to
-spare, and the Pfaff prefactor is an mpf power either way.
+becomes an mpf or mpc, which is exactly an integer (pair) over 2^s, and is
+summed in fixed-point integers with enough guard bits that the per-term
+floor roundings stay below tail_tol / 2.  Both ways sum the number of terms
+_term_count fixes, so the truncated tail and the rounding together stay
+below tail_tol = 10^-(working+5) before the one final rounding to working
+precision.  The Pfaff prefactor is an mpf power either way.
 """
 
 from __future__ import annotations
@@ -65,37 +68,24 @@ def _as_scalar(z, ctx: PrecisionCtx):
     return ctx.real(z)
 
 
-def _series(p: HypParams, z, ctx: PrecisionCtx):
-    """Truncated 2F1 power series; returns (value, terms_used).
+def _fixed(z):
+    """Integers (re, im, s) with z = (re + i im) / 2^s exactly, for an mpf or mpc z."""
+    parts = [x._mpf_ for x in (z.real, z.imag)]
+    # mpmath's zero is (0, 0, 0, 0): only nonzero parts set the exponent
+    s = max([-exp for _, man, exp, _ in parts if man] + [0])
+    re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
+    return re, im, s
 
-    Stops once the term is below the tail tolerance and the running term
-    ratio sits under rho = (1+|z|)/2 < 1, so the geometric tail bound
-    |term| * rho/(1-rho) is rigorous (the parameter factor in the term
-    ratio is decreasing for the parameter sets used here).
-    """
-    mp = ctx.mp
-    a = ctx.real(p.a)
-    b = ctx.real(p.b)
-    c = ctx.real(p.c)
-    az = abs(z)
-    if az >= 1:
-        raise RegionError(f"series needs |z| < 1, got |z| = {az}")
-    one = mp.mpf(1)
-    rho = (1 + az) / 2
-    tail_factor = rho / (1 - rho)
-    tol = ctx.tail_tol
-    term = one
-    total = one
-    n = 0
-    max_terms = _max_terms(ctx)
-    while n < max_terms:
-        ratio = ((a + n) * (b + n)) / ((c + n) * (n + 1)) * z
-        term = term * ratio
-        total += term
-        n += 1
-        if n >= 3 and abs(ratio) <= rho and abs(term) * tail_factor <= tol:
-            return total, n
-    raise ArithmeticError(f"2F1 series did not meet tolerance in {max_terms} terms")
+
+def _log_abs(z) -> float:
+    """log|z| of a Fraction, mpf or mpc from its exact integers, so that it
+    never underflows a float; -inf at zero."""
+    if isinstance(z, Fraction):
+        num = abs(z.numerator)
+        return math.log(num) - math.log(z.denominator) if num else -math.inf
+    re, im, s = _fixed(z)
+    sq = re * re + im * im
+    return math.log(sq) / 2 - s * math.log(2) if sq else -math.inf
 
 
 def _max_terms(ctx: PrecisionCtx) -> int:
@@ -103,40 +93,90 @@ def _max_terms(ctx: PrecisionCtx) -> int:
     return int(80 * (ctx.working_digits + 10)) + 200
 
 
-def _log(x: Fraction) -> float:
-    """Natural log of a positive Fraction, valid far beyond float range."""
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-# The exact route counts its terms from float logarithms; this many extra
-# digits of tail bound cover their rounding, so it never stops earlier than
-# _series would.
+# Terms are counted from float logarithms; this many extra digits of tail
+# bound cover their rounding.
 _COUNT_MARGIN_DIGITS = 3
 
 
-def _term_count(p: HypParams, z: Fraction, ctx: PrecisionCtx) -> int:
-    """Terms the exact route sums: the first n >= 3 with term ratio below
-    rho = (1+|z|)/2 and |term_n| rho/(1-rho) <= tail_tol * 10^-margin.
+def _term_count(p: HypParams, z, ctx: PrecisionCtx):
+    """(n, growth) for the series at z: n is the first count >= 3 whose last
+    term ratio is below rho = (1+|z|)/2 and whose last term has
+    |term_n| rho/(1-rho) <= tail_tol * 10^-margin; growth is the natural log
+    of the largest |term_k / term_j| over j <= k <= n.
 
-    This is _series' stopping rule evaluated on float logarithms of the
-    term magnitudes, so it costs no big-number work.
+    Both routes sum exactly n terms, and the fixed-point route takes its
+    guard bits from n and growth.  The geometric tail bound is rigorous when
+    the parameter factor of the term ratio does not rise again after n,
+    which holds for the parameter sets used here.  Everything runs on float
+    logarithms, so it costs no big-number work.
     """
-    az = abs(z)
-    rho = (1 + az) / 2
-    log_rho = _log(rho)
-    log_limit = -(ctx.working_digits + 5 + _COUNT_MARGIN_DIGITS) * math.log(10) - _log(rho / (1 - rho))
-    log_az = _log(az) if az else -math.inf
+    log_az = _log_abs(z)
+    if log_az == -math.inf:
+        return 1, 0.0  # z = 0: the terms after the first vanish
+    rho = (1 + math.exp(log_az)) / 2
+    # strict, with slack, so float rounding never admits a ratio above rho
+    log_ratio_limit = math.log(rho) - 1e-9
+    log_limit = -(ctx.working_digits + 5 + _COUNT_MARGIN_DIGITS) * math.log(10) - math.log(rho / (1 - rho))
     a, b, c = float(p.a), float(p.b), float(p.c)
-    log_term = 0.0
+    log_term = low = growth = 0.0
     for n in range(_max_terms(ctx)):
         ratio = abs((a + n) * (b + n) / ((c + n) * (n + 1)))
-        # a zero ratio ends a terminating series (a or b = -n) and z = 0
-        log_ratio = math.log(ratio) + log_az if ratio else -math.inf
+        if ratio == 0:
+            # a terminating series (a or b = -n): later terms vanish
+            return n + 1, growth
+        log_ratio = math.log(ratio) + log_az
         log_term += log_ratio
-        # strict, with slack, so float rounding never admits a ratio above rho
-        if n >= 2 and log_ratio < log_rho - 1e-9 and log_term <= log_limit:
-            return n + 1
+        if log_term < low:
+            low = log_term
+        elif log_term - low > growth:
+            growth = log_term - low
+        if log_term <= log_limit and log_ratio < log_ratio_limit and n >= 2:
+            return n + 1, growth
     raise ArithmeticError(f"2F1 series did not meet tolerance in {_max_terms(ctx)} terms")
+
+
+def _series(p: HypParams, z, ctx: PrecisionCtx):
+    """The 2F1 series at an mpf or mpc z in fixed point; returns (value, terms_used).
+
+    z is exactly (zr + i zi) / 2^s, so with r(k) = (a+k)(b+k)/((c+k)(k+1))
+    cleared of denominators each term is one integer product, a shift and a
+    division by a small integer, kept to `bits` fractional bits; the terms
+    are summed in an integer and rounded once.  Two floors move term k+1 off
+    the exact product of term k and its ratio by less than 2 units of
+    2^-bits per component (2 sqrt 2 in modulus), and the later ratios carry
+    that error on: into term m it arrives multiplied by term_m / term_(k+1),
+    at most e^growth.  So the n terms differ from their exact sum by less
+    than 3 n^2 e^growth 2^-bits, and `bits` makes that at most tail_tol / 2.
+    With the truncated tail (below tail_tol / 1000) the sum is then within
+    tail_tol of 2F1 before its final rounding.
+    """
+    if not abs(z) < 1:
+        raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
+    n, growth = _term_count(p, z, ctx)
+    error_bits = math.log2(3 * n * n) + growth / math.log(2)
+    # 2 more bits cover the float rounding of the count loop
+    bits = math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+    zr, zi, s = _fixed(z)
+    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
+    dd = ad * bd
+    mp = ctx.mp
+    if not hasattr(z, "_mpc_"):
+        zr *= cd
+        term = total = 1 << bits
+        for k in range(n):
+            term = (term * ((an + k * ad) * (bn + k * bd)) * zr >> s) // ((cn + k * cd) * (k + 1) * dd)
+            total += term
+        return mp.ldexp(mp.mpf(total), -bits), n
+    tr = total_r = 1 << bits
+    ti = total_i = 0
+    for k in range(n):
+        num = (an + k * ad) * (bn + k * bd) * cd
+        den = (cn + k * cd) * (k + 1) * dd
+        tr, ti = tr * num, ti * num
+        tr, ti = (tr * zr - ti * zi >> s) // den, (tr * zi + ti * zr >> s) // den
+        total_r += tr
+        total_i += ti
+    return mp.mpc(mp.ldexp(mp.mpf(total_r), -bits), mp.ldexp(mp.mpf(total_i), -bits)), n
 
 
 def _bsplit(p: HypParams, z: Fraction, n: int):
@@ -167,7 +207,7 @@ def _exact_series(p: HypParams, z: Fraction, ctx: PrecisionCtx):
     rounded once, through one integer division, to 2^-bits.  T and Q never
     become mpfs.
     """
-    n = _term_count(p, z, ctx)
+    n, _ = _term_count(p, z, ctx)
     _, Q, T = _bsplit(p, z, n)
     bits = ctx.mp.prec + 32
     # A bits-bit quotient needs only the leading bits of Q; dropping the rest
@@ -182,7 +222,7 @@ def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     """2F1(a, b; c; z) by direct series or Pfaff transformation.
 
     A Fraction z is summed exactly (binary splitting), any other z in
-    working precision; the regions are the same for both.  Raises
+    fixed-point integers; the regions are the same for both.  Raises
     RegionError outside the two regions; the caller must transform.
     """
     mp = ctx.mp

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import IndeterminateFormError, ReductionError
 from .numerics import PrecisionCtx, pi_reference
@@ -267,16 +268,17 @@ class TransformWord:
     def apply_to_lambda(self, lam):
         # Carry the pair (x, 1-x).  S swaps it; T and T^-1 both act as the
         # involution x -> x/(x-1), i.e. (x, y) -> (-x/y, 1/y) since x + y = 1.
-        # No letter subtracts two nearly equal numbers, so lambda keeps its
+        # Both square to the identity on lambda, so a run of like letters acts
+        # once when its length is odd and not at all when it is even.  No
+        # letter subtracts two nearly equal numbers, so lambda keeps its
         # relative precision near the cusps, where it is huge.
+        unknown = set(self.letters) - {LETTER_T, LETTER_T_INV, LETTER_S}
+        if unknown:
+            raise ValueError(f"unknown letter {unknown.pop()!r}")
         x, y = lam, 1 - lam
-        for letter in self.letters:
-            if letter in (LETTER_T, LETTER_T_INV):
-                x, y = -x / y, 1 / y
-            elif letter == LETTER_S:
-                x, y = y, x
-            else:
-                raise ValueError(f"unknown letter {letter!r}")
+        for is_swap, run in groupby(self.letters, key=lambda letter: letter == LETTER_S):
+            if len(list(run)) % 2:
+                x, y = (y, x) if is_swap else (-x / y, 1 / y)
         return x
 
 

@@ -2,8 +2,10 @@
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 rounds at its working precision (target digits + guard digits).  The
-underlying big-float arithmetic is mpmath; each context owns a private
-``MPContext`` so that two contexts never share mutable precision state.
+underlying big-float arithmetic is mpmath.  Contexts with the same working
+digits share one ``MPContext``, so a call does not rebuild it; nothing in
+the package changes its precision after construction, so two contexts
+never see each other's precision.
 
 ``pi_reference`` (Gauss-Legendre AGM iteration) is the only source of a
 "known pi" in this package: internal formulas and verification reports all
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import numeral
@@ -39,8 +42,7 @@ class PrecisionCtx:
             raise ValueError(f"guard_digits must be >= {floor_guard} for {target_digits} target digits")
         self.target_digits = target_digits
         self.guard_digits = int(guard_digits)
-        self.mp = MPContext()
-        self.mp.dps = self.working_digits
+        self.mp = _mp_context(self.working_digits)
         self._pi_cache = None
 
     @property
@@ -71,6 +73,14 @@ class PrecisionCtx:
 
     def __repr__(self):
         return f"PrecisionCtx(target_digits={self.target_digits}, guard_digits={self.guard_digits})"
+
+
+@lru_cache(maxsize=16)
+def _mp_context(working_digits: int) -> MPContext:
+    """The mpmath context every PrecisionCtx with these working digits uses."""
+    mp = MPContext()
+    mp.dps = working_digits
+    return mp
 
 
 def ctx_new(target_digits: int) -> PrecisionCtx:

@@ -1,7 +1,12 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperpi import (
     HypParams,
@@ -24,6 +29,38 @@ from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_differenc
 EXACT_PARAMS = [F_PARAMS, F2_PARAMS, HypParams(Fraction(3, 2), Fraction(1, 2), Fraction(2))]
 EXACT_IDS = ["F", "F2", "pfaff-F2"]
 EXACT_POINTS = [Fraction(1, 2), Fraction(1, 4), Fraction(-1), Fraction(-1, 3), Fraction(3, 4)]
+
+# small rationals for random parameter sets; c is never 0 or a negative integer
+small_fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+hyp_params = st.builds(
+    HypParams, small_fractions, small_fractions, small_fractions.filter(lambda c: c.denominator > 1 or c > 0)
+)
+tiny_fractions = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
+tiny_hyp_params = st.builds(
+    HypParams, tiny_fractions, tiny_fractions, st.builds(Fraction, st.integers(1, 8), st.integers(1, 4))
+)
+
+
+def _polar_point(ctx, modulus, angle, real):
+    """An mpc of the given modulus and angle, or the mpf +-modulus when real."""
+    if real:
+        return ctx.real(repr(modulus if abs(angle) < cmath.pi / 2 else -modulus))
+    z = cmath.rect(modulus, angle)
+    return ctx.mp.mpc(repr(z.real), repr(z.imag))
+
+
+def _against_mpmath(p, z, value, ctx):
+    """|value - mpmath.hyp2f1| in units of ctx.eps * max(1, |2F1|)."""
+    with mpmath.workprec(ctx.mp.prec + 30):
+        a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
+        oracle = mpmath.hyp2f1(a, b, c, mpmath.mpmathify(z))
+        return abs(mpmath.mpmathify(value) - oracle) / (mpmath.mpf(ctx.eps) * max(1, abs(oracle)))
+
+
+def _exact(x):
+    """An mpf as the Fraction it is exactly."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +147,10 @@ class TestExactRoute:
     @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
     @pytest.mark.parametrize("z", EXACT_POINTS, ids=str)
     def test_agrees_with_mpf_route(self, ctx50, p, z):
-        # the mpf route rounds once per term, so it drifts by a few units
-        # of the last working digit, far more than tail_tol
-        assert abs(hyp2f1(p, z, ctx50) - hyp2f1(p, ctx50.real(z), ctx50)) <= 1000 * ctx50.eps
+        # both routes are within tail_tol of the exact sum before one final
+        # rounding, so they differ by at most that rounding (they agree to
+        # the last bit at every point here, also at 100, 300 and 1000 digits)
+        assert abs(hyp2f1(p, z, ctx50) - hyp2f1(p, ctx50.real(z), ctx50)) <= ctx50.eps
 
     @pytest.mark.parametrize(
         "digits,z", [(50, Fraction(1, 2)), (50, Fraction(-1, 3)), (50, Fraction(3, 4)), (1000, Fraction(1, 2))]
@@ -120,12 +158,70 @@ class TestExactRoute:
     def test_never_fewer_terms_than_mpf_route(self, request, digits, z):
         ctx = request.getfixturevalue(f"ctx{digits}")
         for p in EXACT_PARAMS:
-            assert _term_count(p, z, ctx) >= _series(p, ctx.real(z), ctx)[1]
+            assert _term_count(p, z, ctx)[0] >= _series(p, ctx.real(z), ctx)[1]
 
     def test_terminating_series(self, ctx50):
         # 2F1(-2, 1/2; 1; z) = 1 - z + (3/8) z^2, which is 17/24 at z = 1/3
         p = HypParams(Fraction(-2), Fraction(1, 2), Fraction(1))
         assert abs(hyp2f1(p, Fraction(1, 3), ctx50) - ctx50.real(Fraction(17, 24))) <= ctx50.eps
+
+
+class TestFixedPointRoute:
+    """mpf and mpc arguments: the fixed-point series against third-party mpmath.hyp2f1."""
+
+    # mpmath.hyp2f1 itself slows to seconds above |z| = 0.8 at 300 digits,
+    # so the random points stop there; test_wide_direct_region_against_agm
+    # covers |z| = 0.9
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p=hyp_params,
+        digits=st.integers(30, 300),
+        modulus=st.floats(0, 0.8),
+        angle=st.floats(-cmath.pi, cmath.pi),
+        real=st.booleans(),
+    )
+    def test_direct_series_against_mpmath(self, p, digits, modulus, angle, real):
+        ctx = ctx_new(digits)
+        z = _polar_point(ctx, modulus, angle, real)
+        value, _ = _series(p, z, ctx)
+        assert _against_mpmath(p, z, value, ctx) <= 1
+
+    # the Pfaff route rounds z/(z-1) and (1-z)^-a, and the value's
+    # sensitivity to those roundings grows with the parameters, so a and b
+    # stay in [-2, 2] and c in (0, 8]
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        p=tiny_hyp_params,
+        digits=st.integers(30, 300),
+        x=st.floats(-1, -0.25),
+        y=st.floats(-0.6, 0.6),
+        real=st.booleans(),
+    )
+    def test_pfaff_route_against_mpmath(self, p, digits, x, y, real):
+        ctx = ctx_new(digits)
+        zf = complex(x, 0 if real else y)
+        # Re z < 0, |z| > 1/2 and |z/(z-1)| <= 1/2: hyp2f1 takes the Pfaff route
+        assume(abs(zf) > 0.51 and abs(zf / (zf - 1)) < 0.5)
+        z = ctx.real(repr(x)) if real else ctx.mp.mpc(repr(x), repr(y))
+        assert _against_mpmath(p, z, hyp2f1(p, z, ctx), ctx) <= 1
+
+    @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("z", ["0.9", "-0.45", "0.3", Fraction(3, 4)], ids=str)
+    def test_term_count_meets_tail_rule(self, ctx50, p, z):
+        # exact rationals: the last term ratio is below rho = (1+|z|)/2 and
+        # the geometric tail after the last term is below tail_tol
+        if not isinstance(z, Fraction):
+            z = ctx50.real(z)
+        n, _ = _term_count(p, z, ctx50)
+        zq = z if isinstance(z, Fraction) else _exact(z)
+        ratios = [(p.a + k) * (p.b + k) / ((p.c + k) * (k + 1)) * zq for k in range(n)]
+        rho = (1 + abs(zq)) / 2
+        assert n >= 3 and abs(ratios[-1]) < rho
+        # |term_n| rho / (1-rho) <= 10^-(working+5), in integers: a Fraction
+        # would reduce the product of n ratios by a slow gcd
+        bound = rho / (1 - rho)
+        num = math.prod(r.numerator for r in ratios) * bound.numerator * 10 ** (ctx50.working_digits + 5)
+        assert abs(num) <= math.prod(r.denominator for r in ratios) * bound.denominator
 
 
 class TestDerivative:

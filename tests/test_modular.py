@@ -206,6 +206,17 @@ class TestLambdaReduced:
             expected = (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
             assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf("1e-295") * abs(expected)
 
+    def test_full_precision_deep_in_cusp_one(self):
+        # |lambda| is about 3.6e223 here, reached through 38 T letters, then
+        # S T.  jtheta loses digits as |nome| -> 1 (at 340 digits it is off by
+        # 5e-290 relative here), so the oracle runs at 400.
+        ctx = ctx_new(300)
+        lam = lambda_tau_reduced(tau_point(parse_complex("0.998663+0.005760i", ctx), ctx), ctx)
+        with mpmath.workdps(400):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc("0.998663", "0.005760"))
+            expected = (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
+            assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf("1e-295") * abs(expected)
+
     @pytest.mark.parametrize("seed", [1])
     def test_functional_equations(self, ctx50, seed):
         rng = random.Random(seed)

@@ -34,6 +34,12 @@ class TestPrecisionCtx:
         assert a.mp.dps != b.mp.dps
         assert a.mp.dps == a.working_digits
 
+    def test_same_working_digits_share_mpmath_context(self):
+        # 100 target digits get 12 guard digits by default: 112 working digits
+        a, b = ctx_new(100), PrecisionCtx(98, guard_digits=14)
+        assert a.mp is b.mp
+        assert PrecisionCtx(100, guard_digits=13).mp is not a.mp
+
 
 class TestAgm:
     def test_fixed_point(self, ctx50):
