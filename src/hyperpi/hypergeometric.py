@@ -225,7 +225,6 @@ def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     fixed-point integers; the regions are the same for both.  Raises
     RegionError outside the two regions; the caller must transform.
     """
-    mp = ctx.mp
     zs = _as_scalar(z, ctx)
     if isinstance(z, Fraction):
         series = _exact_series
@@ -234,8 +233,7 @@ def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
     az = abs(zs)
     # slack so boundary points computed with working-precision noise
     # (e.g. lambda(i) = 1/2 + O(eps)) still land in their region
-    slack = mp.mpf(10) ** (-(ctx.working_digits // 2))
-    half = ctx.real(PFAFF_RADIUS) * (1 + slack)
+    half = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol)
     if az <= half:
         return series(p, z, ctx)[0]
     if zs.real < 0:

@@ -139,7 +139,7 @@ def _near_negative_cut(z, ctx: PrecisionCtx) -> bool:
     zc = ctx.complex(z)
     if zc.real >= 0:
         return False
-    return abs(zc.imag) <= abs(zc.real) * ctx.mp.mpf(10) ** (-(ctx.working_digits // 2))
+    return abs(zc.imag) <= abs(zc.real) * ctx.zero_tol
 
 
 def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
@@ -155,18 +155,20 @@ def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
     unreconciled so their mutual ratios (and the ratio to pi F(lambda)) can
     be measured; homothety_ratios does exactly that.
     """
+    return _homothety_mu(t, lambda_tau(t, ctx), ctx)
+
+
+def _homothety_mu(t: TauPoint, lam, ctx: PrecisionCtx):
     mp = ctx.mp
-    lam = lambda_tau(t, ctx)
     prod = lam * (1 - lam)
     if _near_negative_cut(prod, ctx):
         warnings.warn(
             "lambda(1-lambda) is on the negative real axis; sixth-root branch is ambiguous",
             BranchWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of homothety_mu or homothety_ratios
         )
-    cubic = (lam + 1) * (2 * lam - 1) * (lam - 2)
-    quad = lam * lam - lam + 1
-    ratio = 9 * quad / cubic
+    curve = weierstrass_from_lambda(lam)
+    ratio = curve.g2 / curve.g3  # = 9(l^2-l+1)/((l+1)(2l-1)(l-2))
     mu_sqrt = mp.sqrt(ratio * g3_tau(t, ctx) / g2_tau(t, ctx))
 
     delta = delta_tau(t, ctx)
@@ -188,8 +190,8 @@ def homothety_ratios(t: TauPoint, ctx: PrecisionCtx):
     agree with the period normalization give ratio 1.
     """
     lam = lambda_tau(t, ctx)
-    omega1 = pi_reference(ctx) * legendre_F(lam, ctx)
-    return tuple(mu / omega1 for mu in homothety_mu(t, ctx))
+    omega1 = period_classical(lam, ctx)
+    return tuple(mu / omega1 for mu in _homothety_mu(t, lam, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,14 @@
 """q-series engines: Dedekind eta, Eisenstein E2/E4/E6, the modular lambda
 function, and upper-half-plane reduction.
 
-Direct q-series evaluation is restricted to Im(tau) >= 1/4 (eta, E_k) and
-Im(tau) >= 1/2 (lambda, whose eta quotient involves eta(tau/2)); below the
-threshold, lambda_tau_reduced reaches the point through S and T moves.
+eta, Delta and lambda all sum one pentagonal series P(y) = prod (1 - y^m);
+lambda needs only x = q^(1/2) = e^(pi i tau) (Borwein & Borwein 1987, ch. 4):
 
-lambda(tau) is computed as the eta quotient
+    lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x - 128 x^2 + 704 x^3 - ...
 
-    lambda = 16 eta(tau/2)^8 eta(2 tau)^16 / eta(tau)^24,
-
-whose expansion in x = q^(1/2) has integer coefficients 16, -128, 704, ...
-(lambda_q_coeffs produces them exactly).
+Direct evaluation needs Im(tau) >= 1/4 for eta and E_k and Im(tau) >= 1/2
+for lambda, so that |q|, resp. |x|, is at most e^(-pi/2); below that,
+lambda_tau_reduced reaches the point through S and T moves.
 """
 
 from __future__ import annotations
@@ -67,34 +65,40 @@ def _require_im(t: TauPoint, minimum: float, what: str):
 # Dedekind eta
 # ---------------------------------------------------------------------------
 
-def eta(t: TauPoint, ctx: PrecisionCtx):
-    """eta(tau) = q^(1/24) * sum_{n in Z} (-1)^n q^(n(3n-1)/2).
-
-    The prefactor is e^(2 pi i tau / 24) evaluated directly, so there is no
-    24th-root branch choice.
-    """
-    _require_im(t, MIN_IM_QSERIES, "eta")
+def _euler(y, ctx: PrecisionCtx):
+    """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2),
+    summed to the first term below tail_tol."""
     mp = ctx.mp
-    q = t.q
-    aq = abs(q)
+    ay = abs(y)
     tol = ctx.tail_tol
     total = mp.mpf(1)
     n = 1
     while True:
         e_pos = n * (3 * n - 1) // 2
         e_neg = n * (3 * n + 1) // 2
-        term = q**e_pos + q**e_neg
+        term = y**e_pos + y**e_neg
         total = total - term if n % 2 else total + term
-        if aq**e_pos < tol:
+        if ay**e_pos < tol:
             break
         n += 1
+    return total
+
+
+def eta(t: TauPoint, ctx: PrecisionCtx):
+    """eta(tau) = q^(1/24) P(q).
+
+    The prefactor is e^(2 pi i tau / 24) evaluated directly, so there is no
+    24th-root branch choice.
+    """
+    _require_im(t, MIN_IM_QSERIES, "eta")
+    mp = ctx.mp
     pi = pi_reference(ctx)
     re = t.tau.real
     if re == 0:
         prefactor = mp.exp(-pi * t.im / 12)
     else:
         prefactor = mp.exp(mp.mpc(0, 1) * pi * t.tau / 12)
-    return prefactor * total
+    return prefactor * _euler(t.q, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +142,10 @@ def g3_tau(t: TauPoint, ctx: PrecisionCtx):
 
 
 def delta_tau(t: TauPoint, ctx: PrecisionCtx):
-    """Discriminant Delta(tau) = (2 pi)^12 eta(tau)^24."""
+    """Discriminant Delta(tau) = (2 pi)^12 q P(q)^24; real wherever q is."""
+    _require_im(t, MIN_IM_QSERIES, "delta_tau")
     pi = pi_reference(ctx)
-    return (2 * pi) ** 12 * eta(t, ctx) ** 24
+    return (2 * pi) ** 12 * t.q * _euler(t.q, ctx) ** 24
 
 
 def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
@@ -153,81 +158,36 @@ def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
 # ---------------------------------------------------------------------------
 
 def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
-    """lambda(tau) by the eta quotient; needs Im(tau) >= 1/2."""
+    """lambda(tau) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24; needs Im(tau) >= 1/2."""
     if t.im < MIN_IM_LAMBDA:
         raise ValueError(
-            f"lambda_tau needs Im(tau) >= {MIN_IM_LAMBDA} (eta(tau/2) term); "
+            f"lambda_tau needs Im(tau) >= {MIN_IM_LAMBDA} (|x| <= e^(-pi/2)); "
             "use lambda_tau_reduced"
         )
-    half = tau_point(t.tau / 2, ctx)
-    double = tau_point(2 * t.tau, ctx)
-    return 16 * eta(half, ctx) ** 8 * eta(double, ctx) ** 16 / eta(t, ctx) ** 24
-
-
-def _poly_mul(a, b, n):
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if i + j >= n:
-                    break
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(a, k, n):
-    out = [0] * n
-    out[0] = 1
-    base = list(a)
-    while k:
-        if k & 1:
-            out = _poly_mul(out, base, n)
-        base = _poly_mul(base, base, n)
-        k >>= 1
-    return out
-
-
-def _poly_inv(a, n):
-    out = [0] * n
-    out[0] = 1
-    for k in range(1, n):
-        out[k] = -sum(a[j] * out[k - j] for j in range(1, k + 1))
-    return out
-
-
-def _pentagonal(scale, n):
-    """Coefficients of prod_m (1 - y^(scale*m)) up to degree n-1."""
-    coeffs = [0] * n
-    coeffs[0] = 1
-    k = 1
-    while True:
-        e1 = scale * k * (3 * k - 1) // 2
-        e2 = scale * k * (3 * k + 1) // 2
-        if e1 >= n and e2 >= n:
-            return coeffs
-        sign = 1 if k % 2 == 0 else -1
-        if e1 < n:
-            coeffs[e1] += sign
-        if e2 < n:
-            coeffs[e2] += sign
-        k += 1
+    x, q = t.x, t.q
+    return 16 * x * _euler(x, ctx) ** 8 * _euler(q * q, ctx) ** 16 / _euler(q, ctx) ** 24
 
 
 def _lambda_x_series(n: int) -> list[int]:
     """Coefficients of lambda in x = q^(1/2) for x^0 .. x^(n-1), exact.
 
-    The eta quotient collapses to 16 x * P(x)^8 P(x^4)^16 / P(x^2)^24 with
-    P(y) = prod (1 - y^m); the x^0 coefficient is 0.
+    In the product form 16 x prod_m (1-x^m)^8 (1-x^(4m))^16 / (1-x^(2m))^24
+    the factor (1 - x^k) has exponent 8 + 16 [4 | k] - 24 [2 | k].  Each
+    power acts in place on one truncated integer list: multiplying is
+    c[j] -= c[j-k] for descending j, dividing c[j] += c[j-k] for ascending j.
     """
-    if n <= 0:
-        return []
-    quotient = _poly_mul(
-        _poly_mul(_poly_pow(_pentagonal(1, n), 8, n), _poly_pow(_pentagonal(4, n), 16, n), n),
-        _poly_inv(_poly_pow(_pentagonal(2, n), 24, n), n),
-        n,
-    )
-    return [0] + [16 * c for c in quotient[: n - 1]]
+    if n <= 1:
+        return [0] * n
+    c = [1] + [0] * (n - 2)
+    for k in range(1, n - 1):
+        power = 8 + 16 * (k % 4 == 0) - 24 * (k % 2 == 0)
+        for _ in range(power):
+            for j in range(n - 2, k - 1, -1):
+                c[j] -= c[j - k]
+        for _ in range(-power):
+            for j in range(k, n - 1):
+                c[j] += c[j - k]
+    return [0] + [16 * v for v in c]
 
 
 def lambda_q_coeffs(n: int) -> list[int]:
@@ -324,7 +284,7 @@ def s2_bracket(t: TauPoint, ctx: PrecisionCtx):
 def s2(t: TauPoint, ctx: PrecisionCtx):
     """s2(tau) = (E4/E6)(E2 - 3/(pi Im tau)); indeterminate where E6 = 0."""
     e6 = eisenstein(6, t, ctx)
-    if abs(e6) <= ctx.mp.mpf(10) ** (-(ctx.working_digits // 2)):
+    if abs(e6) <= ctx.zero_tol:
         raise IndeterminateFormError(
             "E6(tau) vanishes here (e.g. tau = i, 1+i); s2 is 0/0 — "
             "use the combined form cm.combined_s2_term"

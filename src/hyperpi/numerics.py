@@ -55,6 +55,11 @@ class PrecisionCtx:
         return self.mp.mpf(10) ** (-self.working_digits)
 
     @property
+    def zero_tol(self):
+        """10^(-(working_digits // 2)), below which a computed value counts as 0."""
+        return self.mp.mpf(10) ** (-(self.working_digits // 2))
+
+    @property
     def tail_tol(self):
         """Series-truncation tolerance, 5 digits below working precision."""
         return self.mp.mpf(10) ** (-(self.working_digits + 5))

@@ -10,6 +10,8 @@ evaluation paths under test.
 
 from fractions import Fraction
 
+import mpmath
+
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
 AGM_1_HALF = "0.72839551552345343459321619163254098748693197161065"
 F_HALF = "1.1803405990160962260453379405584885872337166348814"
@@ -89,6 +91,32 @@ def eta_product(t, ctx):
     else:
         prefactor = mp.exp(mp.mpc(0, 1) * pi * t.tau / 12)
     return prefactor * prod
+
+
+def lambda_theta_quotient(tau, digits):
+    """lambda(tau) = theta2^4 / theta3^4 from mpmath.jtheta, to 10^-(digits+10)
+    relative.
+
+    jtheta loses digits as |nome| -> 1, i.e. near the cusps, by an amount
+    that a fixed precision cannot cover.  So the quotient is taken with 40
+    and 80 extra digits, and the extra digits double until two successive
+    values agree.  tau is anything mpmath.mpc accepts.
+    """
+    def quotient(extra):
+        with mpmath.workdps(digits + extra):
+            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            return (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
+
+    extra = 40
+    value = quotient(extra)
+    for _ in range(6):
+        extra *= 2
+        better = quotient(extra)
+        with mpmath.workdps(digits + extra):
+            if abs(better - value) <= mpmath.mpf(10) ** -(digits + 10) * abs(better):
+                return better
+        value = better
+    raise AssertionError(f"jtheta did not settle at tau = {tau} with {extra} extra digits")
 
 
 def central_difference(f, z, h):

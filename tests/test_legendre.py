@@ -146,6 +146,13 @@ class TestHomothety:
         with pytest.warns(BranchWarning):
             homothety_mu(t, ctx50)
 
+    def test_branch_warning_names_the_caller(self, ctx50):
+        t = tau_point(_mpc(ctx50, 1, "1.5"), ctx50)  # lambda in (-1, 0)
+        for public in (homothety_mu, homothety_ratios):
+            with pytest.warns(BranchWarning) as record:
+                public(t, ctx50)
+            assert record[0].filename == __file__
+
 
 class TestPeriodIdentityChecks:
     @pytest.mark.parametrize("im", [2, 3])

@@ -25,11 +25,17 @@ from hyperpi import (
 )
 from hyperpi.modular import _lambda_x_series
 
-from _oracles import ETA_I, LAM_2I, LAMBDA_X_COEFFS, eta_product
+from _oracles import ETA_I, LAM_2I, LAMBDA_X_COEFFS, eta_product, lambda_theta_quotient
 
 
 def _mpc(ctx, re, im):
     return ctx.mp.mpc(ctx.real(re), ctx.real(im))
+
+
+def _assert_lambda_matches_oracle(lam, tau, digits, relative):
+    expected = lambda_theta_quotient(tau, digits)
+    with mpmath.workdps(digits + 40):
+        assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf(relative) * abs(expected)
 
 
 class TestTauPoint:
@@ -120,6 +126,13 @@ class TestDelta:
         b = delta_tau(tau_point(_mpc(ctx50, 1, 1), ctx50), ctx50)
         assert abs(a - b) < ctx50.real("1e-50") * abs(a)
 
+    def test_real_where_the_nome_is_real(self, ctx50):
+        # q is real at integer Re(tau), and so is Delta = (2 pi)^12 q P(q)^24
+        a = delta_tau(tau_point(_mpc(ctx50, 1, "0.8"), ctx50), ctx50)
+        b = delta_tau(tau_point(_mpc(ctx50, 0, "0.8"), ctx50), ctx50)
+        assert ctx50.complex(a).imag == 0
+        assert a == b
+
     @pytest.mark.parametrize("tau", [(0, 1), ("0.4", "0.7"), (0, 3)])
     def test_nonvanishing(self, ctx50, tau):
         assert abs(delta_tau(tau_point(_mpc(ctx50, *tau), ctx50), ctx50)) > 0
@@ -140,6 +153,23 @@ class TestLambda:
         t = tau_point(_mpc(ctx50, 0, 2), ctx50)
         prefix = sum(c * t.x ** (k + 1) for k, c in enumerate(LAMBDA_X_COEFFS))
         assert abs(lambda_tau(t, ctx50) - prefix) < ctx50.real("1e-27")
+
+    def test_seventy_exact_coefficients_at_4i(self):
+        # x = e^(-4 pi) ~ 3.5e-6, so the omitted x^70 term is below 1e-360
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, 0, 4), ctx)
+        prefix = sum(c * t.x**k for k, c in enumerate(_lambda_x_series(70)))
+        assert abs(lambda_tau(t, ctx) - prefix) < ctx.real("1e-295")
+
+    @pytest.mark.parametrize("digits", [50, 300])
+    def test_matches_theta_quotient(self, digits):
+        ctx = ctx_new(digits)
+        rng = random.Random(11)
+        points = [(rng.uniform(-1, 1), rng.uniform(0.5, 3)) for _ in range(6)]
+        points += [(re, rng.uniform(0.5, 3)) for re in (0, 1, -1)]
+        for re, im in points:
+            t = tau_point(_mpc(ctx, repr(re), repr(im)), ctx)
+            _assert_lambda_matches_oracle(lambda_tau(t, ctx), t.tau, digits, f"1e-{digits}")
 
     def test_im_threshold(self, ctx50):
         with pytest.raises(ValueError):
@@ -197,25 +227,19 @@ class TestLambdaReduced:
         with pytest.raises(ReductionError):
             reduce_tau(t, ctx50, max_steps=0)
 
-    def test_full_precision_near_cusp_one(self):
-        # |lambda| is about 1.45e43 here, reached through the word T T T T S T
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            # |lambda| ~ 1.45e43, reached through the word T T T T S T
+            pytest.param("0.996710+0.030397i", id="shallow"),
+            # |lambda| ~ 3.6e223, reached through 38 T letters, then S T
+            pytest.param("0.998663+0.005760i", id="deep"),
+        ],
+    )
+    def test_full_precision_at_cusp_one(self, tau):
         ctx = ctx_new(300)
-        lam = lambda_tau_reduced(tau_point(parse_complex("0.996710+0.030397i", ctx), ctx), ctx)
-        with mpmath.workdps(340):
-            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc("0.996710", "0.030397"))
-            expected = (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
-            assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf("1e-295") * abs(expected)
-
-    def test_full_precision_deep_in_cusp_one(self):
-        # |lambda| is about 3.6e223 here, reached through 38 T letters, then
-        # S T.  jtheta loses digits as |nome| -> 1 (at 340 digits it is off by
-        # 5e-290 relative here), so the oracle runs at 400.
-        ctx = ctx_new(300)
-        lam = lambda_tau_reduced(tau_point(parse_complex("0.998663+0.005760i", ctx), ctx), ctx)
-        with mpmath.workdps(400):
-            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc("0.998663", "0.005760"))
-            expected = (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
-            assert abs(mpmath.mpc(lam) - expected) < mpmath.mpf("1e-295") * abs(expected)
+        t = tau_point(parse_complex(tau, ctx), ctx)
+        _assert_lambda_matches_oracle(lambda_tau_reduced(t, ctx), t.tau, 300, "1e-295")
 
     @pytest.mark.parametrize("seed", [1])
     def test_functional_equations(self, ctx50, seed):
