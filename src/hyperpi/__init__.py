@@ -28,7 +28,6 @@ from .hypergeometric import (
     hyp_via_agm,
     legendre_F,
     legendre_F2,
-    legendre_dF2,
     picard_fuchs_residual,
 )
 from .legendre import (
@@ -40,6 +39,7 @@ from .legendre import (
     check_theorem_transform,
     homothety_mu,
     homothety_ratios,
+    normalized_j,
     period_classical,
     quasiperiod_bruns,
     weierstrass_from_lambda,
@@ -54,7 +54,6 @@ from .modular import (
     lambda_q_coeffs,
     lambda_tau,
     lambda_tau_reduced,
-    normalized_j,
     reduce_tau,
     s2,
     s2_bracket,

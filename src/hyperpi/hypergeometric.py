@@ -136,7 +136,8 @@ def _term_count(p: HypParams, z, ctx: PrecisionCtx):
 
 
 def _series(p: HypParams, z, ctx: PrecisionCtx):
-    """The 2F1 series at an mpf or mpc z in fixed point; returns (value, terms_used).
+    """The 2F1 series at an mpf or mpc z in fixed point; returns (value, terms_used),
+    the value an mpf for an mpf z.
 
     z is exactly (zr + i zi) / 2^s, so with r(k) = (a+k)(b+k)/((c+k)(k+1))
     cleared of denominators each term is one integer product, a shift and a
@@ -159,16 +160,8 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     zr, zi, s = _fixed(z)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd
-    mp = ctx.mp
-    if not hasattr(z, "_mpc_"):
-        zr *= cd
-        term = total = 1 << bits
-        for k in range(n):
-            term = (term * ((an + k * ad) * (bn + k * bd)) * zr >> s) // ((cn + k * cd) * (k + 1) * dd)
-            total += term
-        return mp.ldexp(mp.mpf(total), -bits), n
     tr = total_r = 1 << bits
-    ti = total_i = 0
+    ti = total_i = 0  # stays 0 for a real z
     for k in range(n):
         num = (an + k * ad) * (bn + k * bd) * cd
         den = (cn + k * cd) * (k + 1) * dd
@@ -176,7 +169,11 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
         tr, ti = (tr * zr - ti * zi >> s) // den, (tr * zi + ti * zr >> s) // den
         total_r += tr
         total_i += ti
-    return mp.mpc(mp.ldexp(mp.mpf(total_r), -bits), mp.ldexp(mp.mpf(total_i), -bits)), n
+    mp = ctx.mp
+    value = mp.ldexp(mp.mpf(total_r), -bits)
+    if hasattr(z, "_mpc_"):
+        return mp.mpc(value, mp.ldexp(mp.mpf(total_i), -bits)), n
+    return value, n
 
 
 def _bsplit(p: HypParams, z: Fraction, n: int):
@@ -263,11 +260,6 @@ def legendre_F(lam, ctx: PrecisionCtx):
 def legendre_F2(lam, ctx: PrecisionCtx):
     """F2(lambda) = 2F1(3/2, 3/2; 2; lambda) = 4 dF/dlambda."""
     return hyp2f1(F2_PARAMS, lam, ctx)
-
-
-def legendre_dF2(lam, ctx: PrecisionCtx):
-    """d(F^2)/dlambda = (1/2) F(lambda) F2(lambda)."""
-    return legendre_F(lam, ctx) * legendre_F2(lam, ctx) / 2
 
 
 def picard_fuchs_residual(lam, ctx: PrecisionCtx):

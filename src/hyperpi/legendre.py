@@ -7,6 +7,7 @@ has
     g2 = (4/3)(lambda^2 - lambda + 1),
     g3 = (4/27)(lambda + 1)(2 lambda - 1)(lambda - 2),
     disc = g2^3 - 27 g3^2 = 16 lambda^2 (1 - lambda)^2,
+    J = g2^3 / disc = (4/27) (lambda^2 - lambda + 1)^3 / (lambda^2 (1 - lambda)^2),
 
 with first period Omega1 = pi F(lambda) (F = 2F1(1/2,1/2;1;.)) and first
 quasi-period H1 fixed by Bruns' differential relation
@@ -34,7 +35,6 @@ from .modular import (
     g3_tau,
     lambda_tau,
     lambda_tau_reduced,
-    normalized_j,
 )
 from .numerics import PrecisionCtx, format_value, pi_reference
 from .reports import FormulaReport, make_report
@@ -50,6 +50,13 @@ class LegendreCurve:
     e1: object
     e_lam: object
     degenerate: bool
+
+    @property
+    def j(self):
+        """Normalized j-invariant J = g2^3 / disc; undefined on a degenerate curve."""
+        if self.degenerate:
+            raise ValueError("J is undefined at lambda in {0, 1}")
+        return self.g2**3 / self.disc
 
 
 def weierstrass_from_lambda(lam) -> LegendreCurve:
@@ -70,6 +77,11 @@ def weierstrass_from_lambda(lam) -> LegendreCurve:
         e_lam=(2 * lam - 1) / 3,
         degenerate=bool(disc == 0),
     )
+
+
+def normalized_j(lam):
+    """J(lambda) of the Legendre curve; exact for int/Fraction input."""
+    return weierstrass_from_lambda(lam).j
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,10 @@ def bruns_residuals(lam, ctx: PrecisionCtx):
     dOmega1/dlambda is exact (contiguous relation); dH1/dlambda uses central
     differences with step 10^(-working/4), which limits the attainable
     residual of the second relation to roughly h^2.
+
+    res1 substitutes the same dOmega1/dlambda that H1 was built from, so it
+    is zero up to rounding for any F and F2, right or wrong: it checks
+    rounding only.
     """
     mp = ctx.mp
     lam = ctx.real(lam)
@@ -173,7 +189,7 @@ def _homothety_mu(t: TauPoint, lam, ctx: PrecisionCtx):
 
     delta = delta_tau(t, ctx)
     delta_12 = delta ** (mp.mpf(1) / 12)
-    j = normalized_j(lam)
+    j = curve.j
     mu_j = (
         delta_12 / j ** (mp.mpf(1) / 6)
         * (j - 1) ** (mp.mpf(1) / 4) / mp.mpf(27) ** (mp.mpf(1) / 4)

@@ -14,7 +14,6 @@ lambda_tau_reduced reaches the point through S and T moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 
 from .errors import IndeterminateFormError, ReductionError
@@ -88,16 +87,11 @@ def eta(t: TauPoint, ctx: PrecisionCtx):
     """eta(tau) = q^(1/24) P(q).
 
     The prefactor is e^(2 pi i tau / 24) evaluated directly, so there is no
-    24th-root branch choice.
+    24th-root branch choice; at Re(tau) = 0 its imaginary part is exactly 0.
     """
     _require_im(t, MIN_IM_QSERIES, "eta")
     mp = ctx.mp
-    pi = pi_reference(ctx)
-    re = t.tau.real
-    if re == 0:
-        prefactor = mp.exp(-pi * t.im / 12)
-    else:
-        prefactor = mp.exp(mp.mpc(0, 1) * pi * t.tau / 12)
+    prefactor = mp.exp(mp.mpc(0, 1) * pi_reference(ctx) * t.tau / 12)
     return prefactor * _euler(t.q, ctx)
 
 
@@ -118,14 +112,14 @@ def eisenstein(k: int, t: TauPoint, ctx: PrecisionCtx):
     aq = abs(q)
     tol = ctx.tail_tol * (1 - aq)
     total = mp.mpf(0)
-    qn = mp.mpf(1) if hasattr(q, "_mpf_") else mp.mpc(1)
+    qn = q
     n = 1
     while True:
-        qn = qn * q
         total += n ** (k - 1) * qn / (1 - qn)
         if n ** (k - 1) * aq**n < tol:
             break
         n += 1
+        qn = qn * q
     return 1 + _EISENSTEIN[k] * total
 
 
@@ -272,7 +266,7 @@ def lambda_tau_reduced(t: TauPoint, ctx: PrecisionCtx):
 
 
 # ---------------------------------------------------------------------------
-# s2 and the normalized j-invariant
+# s2
 # ---------------------------------------------------------------------------
 
 def s2_bracket(t: TauPoint, ctx: PrecisionCtx):
@@ -290,15 +284,3 @@ def s2(t: TauPoint, ctx: PrecisionCtx):
             "use the combined form cm.combined_s2_term"
         )
     return eisenstein(4, t, ctx) / e6 * s2_bracket(t, ctx)
-
-
-def normalized_j(lam):
-    """J(lambda) = (4/27) (lambda^2 - lambda + 1)^3 / (lambda^2 (1-lambda)^2).
-
-    Exact Fraction arithmetic for int/Fraction input, big-float otherwise.
-    """
-    if isinstance(lam, int):
-        lam = Fraction(lam)
-    if lam == 0 or lam == 1:
-        raise ValueError("J is undefined at lambda in {0, 1}")
-    return 4 * (lam * lam - lam + 1) ** 3 / (27 * lam * lam * (1 - lam) ** 2)

@@ -3,9 +3,9 @@
 Every public operation in this package takes a :class:`PrecisionCtx` and
 rounds at its working precision (target digits + guard digits).  The
 underlying big-float arithmetic is mpmath.  Contexts with the same working
-digits share one ``MPContext``, so a call does not rebuild it; nothing in
-the package changes its precision after construction, so two contexts
-never see each other's precision.
+digits share one ``MPContext`` and one pi, so a call rebuilds neither;
+nothing in the package changes its precision after construction, so two
+contexts never see each other's precision.
 
 ``pi_reference`` (Gauss-Legendre AGM iteration) is the only source of a
 "known pi" in this package: internal formulas and verification reports all
@@ -26,24 +26,18 @@ from mpmath.libmp import numeral
 class PrecisionCtx:
     """Target/working decimal precision plus the mpmath context to run under.
 
-    guard_digits defaults to max(10, ceil(log10(target_digits)) + 10), the
-    minimum the truncation policy needs so that series tails and rounding
-    stay below the certified target.
+    guard_digits is max(10, ceil(log10(target_digits)) + 10), the minimum
+    the truncation policy needs so that series tails and rounding stay
+    below the certified target.
     """
 
-    def __init__(self, target_digits: int, guard_digits: int | None = None):
+    def __init__(self, target_digits: int):
         target_digits = int(target_digits)
         if target_digits < 1:
             raise ValueError("target_digits must be a positive integer")
-        floor_guard = max(10, math.ceil(math.log10(target_digits)) + 10)
-        if guard_digits is None:
-            guard_digits = floor_guard
-        elif guard_digits < floor_guard:
-            raise ValueError(f"guard_digits must be >= {floor_guard} for {target_digits} target digits")
         self.target_digits = target_digits
-        self.guard_digits = int(guard_digits)
+        self.guard_digits = max(10, math.ceil(math.log10(target_digits)) + 10)
         self.mp = _mp_context(self.working_digits)
-        self._pi_cache = None
 
     @property
     def working_digits(self) -> int:
@@ -77,7 +71,7 @@ class PrecisionCtx:
         return self.mp.mpc(z)
 
     def __repr__(self):
-        return f"PrecisionCtx(target_digits={self.target_digits}, guard_digits={self.guard_digits})"
+        return f"PrecisionCtx(target_digits={self.target_digits})"
 
 
 @lru_cache(maxsize=16)
@@ -89,7 +83,7 @@ def _mp_context(working_digits: int) -> MPContext:
 
 
 def ctx_new(target_digits: int) -> PrecisionCtx:
-    """Context with the default guard-digit policy."""
+    """Context for target_digits certified digits."""
     return PrecisionCtx(target_digits)
 
 
@@ -196,9 +190,8 @@ def agm(a, b, ctx: PrecisionCtx):
     raise ArithmeticError("AGM iteration failed to converge")
 
 
-def _gauss_legendre_iterates(ctx: PrecisionCtx):
+def _gauss_legendre_iterates(mp: MPContext):
     """Successive Gauss-Legendre approximations (a+b)^2 / (4t) to pi."""
-    mp = ctx.mp
     a = mp.mpf(1)
     b = 1 / mp.sqrt(mp.mpf(2))
     t = mp.mpf(1) / 4
@@ -213,22 +206,28 @@ def _gauss_legendre_iterates(ctx: PrecisionCtx):
 
 
 def pi_reference(ctx: PrecisionCtx):
-    """pi via the Gauss-Legendre AGM iteration, cached per context.
+    """pi via the Gauss-Legendre AGM iteration, computed once per working
+    precision.
 
     This is the package's only source of known pi; in particular it is
     independent of the hypergeometric identities whose checks compare
     against it.
     """
-    if ctx._pi_cache is not None:
-        return ctx._pi_cache
-    tol = ctx.eps
+    return _pi(ctx.working_digits)
+
+
+@lru_cache(maxsize=16)
+def _pi(working_digits: int):
+    """pi in the mpmath context of these working digits (same key and cache
+    rule as _mp_context)."""
+    mp = _mp_context(working_digits)
+    tol = mp.mpf(10) ** (-working_digits)
     prev = None
-    max_iter = int(math.log2(ctx.working_digits * 4 + 16)) + 8
-    it = _gauss_legendre_iterates(ctx)
+    max_iter = int(math.log2(working_digits * 4 + 16)) + 8
+    it = _gauss_legendre_iterates(mp)
     for _ in range(max_iter):
         cur = next(it)
         if prev is not None and abs(cur - prev) < tol:
-            ctx._pi_cache = cur
             return cur
         prev = cur
     raise ArithmeticError("Gauss-Legendre iteration failed to converge")

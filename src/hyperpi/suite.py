@@ -34,6 +34,8 @@ from .reports import FormulaReport, make_report
 CM_TRIPLES = (CMQuadratic(1, 0, 1), CMQuadratic(1, -2, 2), CMQuadratic(1, 0, 4))
 
 LAMBDA_PREFIX = [16, -128, 704]
+FUNCTIONAL_EQUATION_POINTS = 10
+AGM_ORACLE_POINTS = 20
 
 
 def identity_reports(digits: int) -> list[FormulaReport]:
@@ -87,26 +89,17 @@ def e2_fixed_point_report(digits: int) -> FormulaReport:
     return make_report("eisenstein-E2 tau=i", eisenstein(2, t, ctx), 3 / pi_reference(ctx), ctx)
 
 
-def _sample_taus(ctx: PrecisionCtx, seed: int, count: int):
-    rng = random.Random(seed)
-    mp = ctx.mp
-    taus = []
-    for _ in range(count):
-        re = rng.uniform(-1.0, 1.0)
-        im = rng.uniform(0.6, 3.0)
-        taus.append(mp.mpc(mp.mpf(repr(re)), mp.mpf(repr(im))))
-    return taus
-
-
-def functional_equation_reports(digits: int, seed: int = 0, count: int = 10) -> list[FormulaReport]:
+def functional_equation_reports(digits: int, seed: int = 0) -> list[FormulaReport]:
     """eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = eta(tau) sqrt(-i tau),
     lambda(tau+1) = lambda/(lambda-1), lambda(-1/tau) = 1 - lambda,
     at seeded random tau with Im in [0.6, 3]."""
     ctx = ctx_new(digits)
     mp = ctx.mp
     pi = pi_reference(ctx)
+    rng = random.Random(seed)
     reports = []
-    for k, tau in enumerate(_sample_taus(ctx, seed, count)):
+    for k in range(FUNCTIONAL_EQUATION_POINTS):
+        tau = mp.mpc(mp.mpf(repr(rng.uniform(-1.0, 1.0))), mp.mpf(repr(rng.uniform(0.6, 3.0))))
         tag = f"tau#{k:02d} seed={seed}"
         t = tau_point(tau, ctx)
         eta_t = eta(t, ctx)
@@ -124,12 +117,12 @@ def functional_equation_reports(digits: int, seed: int = 0, count: int = 10) -> 
     return reports
 
 
-def agm_oracle_reports(digits: int, seed: int = 0, count: int = 20) -> list[FormulaReport]:
+def agm_oracle_reports(digits: int, seed: int = 0) -> list[FormulaReport]:
     """F(lambda) against 1/agm(1, sqrt(1-lambda)) at seeded lambda in (0, 0.9)."""
     ctx = ctx_new(digits)
     rng = random.Random(seed)
     reports = []
-    for k in range(count):
+    for k in range(AGM_ORACLE_POINTS):
         lam = ctx.mp.mpf(repr(rng.uniform(0.005, 0.9)))
         lhs = legendre_F(lam, ctx)
         rhs = hyp_via_agm(lam, ctx)

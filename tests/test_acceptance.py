@@ -96,7 +96,7 @@ def test_criterion_07_e2_fixed_point_50_digits():
 
 
 def test_criterion_08_functional_equations_seeded():
-    reports = functional_equation_reports(50, seed=0, count=10)
+    reports = functional_equation_reports(50, seed=0)
     assert len(reports) == 40
     _assert_all(reports)
     worst = max(r.abs_error for r in reports)
@@ -104,7 +104,7 @@ def test_criterion_08_functional_equations_seeded():
 
 
 def test_criterion_09_agm_oracle_seeded():
-    reports = agm_oracle_reports(50, seed=0, count=20)
+    reports = agm_oracle_reports(50, seed=0)
     assert len(reports) == 20
     _assert_all(reports)
     worst = max(r.abs_error for r in reports)

@@ -1,9 +1,10 @@
 import json
 
+import mpmath
 import pytest
 
-from hyperpi import pi_reference_digits
-from hyperpi.cli import main
+from hyperpi import cli, ctx_new, parse_complex, pi_reference_digits
+from hyperpi.cli import _EVAL_FNS, main
 from hyperpi.suite import agm_oracle_reports, functional_equation_reports
 
 from _oracles import LAM_2I
@@ -81,6 +82,72 @@ class TestEval:
         assert "error" in err
 
 
+EVAL_POINTS = {"tau": "0.3+0.9i", "lambda": "0.3"}
+EVAL_CASES = [(fn, option) for fn, evaluators in _EVAL_FNS.items() for option in evaluators]
+
+
+def _eval_oracle(fn, option):
+    """The value of `eval --fn fn` at EVAL_POINTS[option] from mpmath alone:
+    theta functions, the q-Pochhammer symbol, a divisor-sum E2, ellipk and
+    mpmath's own 2F1."""
+    if option == "lambda":
+        lam = mpmath.mpf(EVAL_POINTS["lambda"])
+        if fn == "F":
+            return 2 * mpmath.ellipk(lam) / mpmath.pi
+        if fn == "F2":
+            return mpmath.hyp2f1(1.5, 1.5, 2, lam)
+        return 4 * (lam * lam - lam + 1) ** 3 / (27 * lam * lam * (1 - lam) ** 2)  # j
+    tau = mpmath.mpc(*EVAL_POINTS["tau"][:-1].split("+"))
+    q = mpmath.exp(2j * mpmath.pi * tau)
+    t2, t3, t4 = (mpmath.jtheta(k, 0, mpmath.exp(1j * mpmath.pi * tau)) ** 4 for k in (2, 3, 4))
+    e2 = 1 - 24 * mpmath.fsum(sum(d for d in range(1, n + 1) if n % d == 0) * q**n for n in range(1, 80))
+    e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
+    e6 = (t2 + t3) * (t3 + t4) * (t4 - t2) / 2
+    return {
+        "lambda": t2 / t3,
+        "eta": mpmath.exp(1j * mpmath.pi * tau / 12) * mpmath.qp(q),
+        "e2": e2,
+        "e4": e4,
+        "e6": e6,
+        "delta": (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24,
+        "j": e4**3 / (e4**3 - e6**2),
+        "s2": e4 / e6 * (e2 - 3 / (mpmath.pi * tau.imag)),
+    }[fn]
+
+
+class TestEvalTable:
+    @pytest.mark.parametrize("fn,option", EVAL_CASES)
+    def test_evaluates_at_its_point(self, capsys, fn, option):
+        code, out, _ = run(capsys, "eval", "--fn", fn, f"--{option}={EVAL_POINTS[option]}", "--digits", "30")
+        assert code == 0
+        with mpmath.workdps(60):
+            expected = _eval_oracle(fn, option)
+            got = parse_complex(out.strip(), ctx_new(50))
+            assert abs(got - expected) < mpmath.mpf("1e-25") * max(1, abs(expected))
+
+    def test_evaluators_call_the_module_names(self, capsys, monkeypatch):
+        # perfbench's tracer wraps a function by patching the module names
+        # that refer to it, so the table must call through those names
+        called = []
+        for name in ("lambda_tau_reduced", "eta", "eisenstein", "delta_tau", "normalized_j", "s2",
+                     "legendre_F", "legendre_F2"):
+            def wrapper(*args, _name=name, _fn=getattr(cli, name)):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, wrapper)
+        for fn, option in EVAL_CASES:
+            called.clear()
+            code, _, _ = run(capsys, "eval", "--fn", fn, f"--{option}={EVAL_POINTS[option]}", "--digits", "20")
+            assert code == 0 and called, (fn, option)
+
+    @pytest.mark.parametrize("fn", list(_EVAL_FNS))
+    def test_missing_point_is_usage_error(self, capsys, fn):
+        others = [f"--{o}={p}" for o, p in EVAL_POINTS.items() if o not in _EVAL_FNS[fn]]
+        code, _, err = run(capsys, "eval", "--fn", fn, *others)
+        assert code == 2
+        assert f"--fn {fn} requires --" in err
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +157,12 @@ class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["pi", "--json"], ["verify", "--seed", "1"]])
+    def test_options_a_subcommand_does_not_read_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_nonpositive_digits_exit_2(self, capsys):
@@ -137,6 +210,6 @@ class TestSuiteDeterminism:
         b = agm_oracle_reports(18, seed=0)
         assert [r.lhs for r in a] == [r.lhs for r in b]
         assert [r.label for r in a] == [r.label for r in b]
-        c = functional_equation_reports(18, seed=3, count=2)
-        d = functional_equation_reports(18, seed=3, count=2)
+        c = functional_equation_reports(18, seed=3)
+        d = functional_equation_reports(18, seed=3)
         assert [r.lhs for r in c] == [r.lhs for r in d]

@@ -16,7 +16,6 @@ from hyperpi import (
     hyp_via_agm,
     legendre_F,
     legendre_F2,
-    legendre_dF2,
     picard_fuchs_residual,
 )
 from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _series, _term_count
@@ -104,6 +103,15 @@ class TestHyp2f1:
         z = ctx50.real(lam)
         direct, _ = _series(F_PARAMS, z, ctx50)
         assert abs(hyp2f1(F_PARAMS, z, ctx50) - direct) < ctx50.real("1e-55")
+
+    @pytest.mark.parametrize("x", ["0.3", "-0.7", "0.9"])
+    def test_real_series_is_real_part_of_complex_series(self, ctx50, x):
+        z = ctx50.real(x)
+        value, n = _series(F2_PARAMS, z, ctx50)
+        complex_value, complex_n = _series(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50)
+        assert isinstance(value, ctx50.mp.mpf)
+        assert value == complex_value.real and complex_value.imag == 0
+        assert n == complex_n
 
     def test_wide_direct_region_against_agm(self, ctx50):
         z = ctx50.real("0.9")
@@ -239,11 +247,6 @@ class TestDerivative:
         exact = hyp_derivative(F_PARAMS, z, ctx50)
         # central differences are h^2-limited: ~2/3 of working digits here
         assert abs(fd - exact) < ctx50.real(10) ** (-(ctx50.working_digits // 3))
-
-    def test_dF2_helper(self, ctx50):
-        z = ctx50.real("0.4")
-        expected = legendre_F(z, ctx50) * legendre_F2(z, ctx50) / 2
-        assert legendre_dF2(z, ctx50) == expected
 
 
 class TestLegendreF:

@@ -25,20 +25,16 @@ class TestPrecisionCtx:
         with pytest.raises(ValueError):
             ctx_new(-3)
 
-    def test_explicit_guard_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            PrecisionCtx(50, guard_digits=5)
-
     def test_contexts_do_not_share_precision(self):
         a, b = ctx_new(10), ctx_new(200)
         assert a.mp.dps != b.mp.dps
         assert a.mp.dps == a.working_digits
 
     def test_same_working_digits_share_mpmath_context(self):
-        # 100 target digits get 12 guard digits by default: 112 working digits
-        a, b = ctx_new(100), PrecisionCtx(98, guard_digits=14)
+        # 100 target digits get 12 guard digits: 112 working digits
+        a, b = ctx_new(100), PrecisionCtx(100)
         assert a.mp is b.mp
-        assert PrecisionCtx(100, guard_digits=13).mp is not a.mp
+        assert ctx_new(99).mp is not a.mp
 
 
 class TestAgm:
@@ -79,13 +75,16 @@ class TestPiReference:
         ctx = ctx_new(200)
         assert abs(pi_reference(ctx) - machin_pi(ctx)) < ctx.real("1e-205")
 
+    def test_computed_once_per_working_precision(self):
+        assert pi_reference(ctx_new(75)) is pi_reference(ctx_new(75))
+
     def test_precision_monotonicity(self, ctx50, ctx100):
         a = truncated_digits(pi_reference(ctx50), 50)
         b = truncated_digits(pi_reference(ctx100), 50)
         assert a == b
 
     def test_successive_iterates_converge(self, ctx30):
-        it = _gauss_legendre_iterates(ctx30)
+        it = _gauss_legendre_iterates(ctx30.mp)
         values = [next(it) for _ in range(9)]
         tol = ctx30.real(10) ** (-ctx30.target_digits)
         assert abs(values[-1] - values[-2]) < tol
