@@ -10,7 +10,7 @@ and F2 = 2F1(3/2,3/2;2;z).  The two trees alternate, and which one goes
 first alternates with the repeat.  The median is over all timed calls.
 
 The counts do not depend on the hardware: `terms` is the number of series
-terms each tree's `_series` sums at that point.  `error_eps` is
+terms each tree's `_series` sums at that point (the last value it returns).  `error_eps` is
 |hyp2f1 - mpmath.hyp2f1| in units of 10^-working, with the oracle at 30
 more bits.
 """
@@ -51,7 +51,7 @@ for digits in json.loads(sys.argv[3]):
                 error = abs(mpmath.mpf(value) - mpmath.hyp2f1(a, b, c, mpmath.mpf(z)))
                 error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
             out[f"{digits} {z_text} {name}"] = {
-                "times": times, "terms": _series(p, z, ctx)[1], "error_eps": error_eps,
+                "times": times, "terms": _series(p, z, ctx)[-1], "error_eps": error_eps,
             }
 print(json.dumps(out))
 """

@@ -10,10 +10,11 @@ fills its caches on first use).  A sample counts only if the call exits 0,
 that is, if its digits equal `pi_reference_digits`.  The two trees alternate,
 and which one goes first alternates with the repeat.
 
-The counts do not depend on the hardware and come from the --after tree: for
-each 2F1 series the engines sum, the terms the exact route takes, the terms
-the mpf series takes at the same precision, and the bit length of the
-binary-splitting denominator Q.
+The counts do not depend on the hardware and come from the --after tree.
+Both engines sum one series, F(1/2) = 2F1(1/2,1/2;1;1/2) with its weighted
+sum (identity 2 through the Pfaff image 1/2 of z = -1); for each digit count
+the report gives its terms and the fractional bits of its fixed-point
+integers.
 """
 
 from __future__ import annotations
@@ -59,28 +60,13 @@ def series_counts(src: str, digits_list: list[int]) -> dict:
     sys.path.insert(0, src)
     from fractions import Fraction
 
-    from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, HypParams, _bsplit, _series, _term_count
+    from hyperpi.hypergeometric import F_PARAMS, _plan
     from hyperpi.numerics import ctx_new
 
-    half = Fraction(1, 2)
-    # identity 2's F(-1) goes through the Pfaff image (1/2, 1/2; 1) at 1/2,
-    # which is identity 1's F(1/2) series
-    series = {
-        "F(1/2): identity1, and identity2 via Pfaff": F_PARAMS,
-        "F2(1/2): identity1": F2_PARAMS,
-        "2F1(3/2,1/2;2;1/2): identity2 via Pfaff": HypParams(Fraction(3, 2), half, Fraction(2)),
-    }
     counts = {}
     for digits in digits_list:
-        ctx = ctx_new(digits)
-        counts[str(digits)] = {
-            label: {
-                "terms": (n := _term_count(p, half, ctx)[0]),
-                "mpf_series_terms": _series(p, ctx.real(half), ctx)[1],
-                "q_bits": _bsplit(p, half, n)[1].bit_length(),
-            }
-            for label, p in series.items()
-        }
+        terms, bits = _plan(F_PARAMS, Fraction(1, 2), ctx_new(digits))
+        counts[str(digits)] = {"terms": terms, "fixed_point_bits": bits}
     return counts
 
 
@@ -113,7 +99,7 @@ def main() -> None:
                                          "speedup": round(before["median"] / after["median"], 1)}
     report = {
         "what": "median wall time of one `hyperpi pi --method M --digits N` call after a warm-up, "
-                "before and after the exact-rational (binary splitting) 2F1 route",
+                "before and after summing F and F2 in one fixed-point pass",
         "command": "python3 bench/pi_engine.py " + " ".join(sys.argv[1:]),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND},

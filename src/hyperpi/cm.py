@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypergeometric import legendre_F, legendre_F2
+from .hypergeometric import legendre_F_F2
 from .legendre import quasiperiod_bruns
 from .modular import TauPoint, lambda_tau_reduced, s2_bracket, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference, truncated_digits
@@ -113,15 +113,14 @@ def _identity(which: int, ctx: PrecisionCtx):
     """(k, value) with value = k/pi: identity 1 is 8/pi = F(1/2) F2(1/2),
     identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1).
 
-    The points are Fractions, so hyp2f1 sums every series exactly: at
-    z = 1/2 directly, at z = -1 through its Pfaff image -1/(-1-1) = 1/2."""
+    The points are Fractions, so F and F2 come exactly from one series at
+    z = 1/2: directly, or at z = -1 through its Pfaff image 1/2."""
     if which == 1:
-        half = Fraction(1, 2)
-        return 8, legendre_F(half, ctx) * legendre_F2(half, ctx)
+        F, F2 = legendre_F_F2(Fraction(1, 2), ctx)
+        return 8, F * F2
     if which == 2:
-        minus_one = Fraction(-1)
-        F = legendre_F(minus_one, ctx)
-        return 1, F * F - F * legendre_F2(minus_one, ctx)
+        F, F2 = legendre_F_F2(Fraction(-1), ctx)
+        return 1, F * F - F * F2
     raise ValueError("which must be 1 or 2")
 
 
@@ -137,9 +136,8 @@ def pi_from_identity(which: int, digits: int) -> str:
     Returns the first `digits` significant digits, truncated, e.g.
     pi_from_identity(1, 10) == "3.141592653".  The z = 1/2 series gains
     about 0.30 decimal digits per term, so it needs about 3.3 terms per
-    digit.  Binary splitting sums them with products of integers of 80 to
-    100 bits per digit, so the cost is not linear in digits: it grows as
-    about digits^1.6 with CPython's Karatsuba multiplication.
+    digit, each a few passes over one fixed-point integer of about 3.3 bits
+    per digit: the cost grows about as digits^2.
     """
     k, value = _identity(which, ctx_new(digits))
     return truncated_digits(k / value, digits)

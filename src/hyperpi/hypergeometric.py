@@ -8,19 +8,17 @@ Two evaluation routes cover every point this package uses:
   Re(z) < 0 with |z/(z-1)| <= 1/2, which reaches z = -1.
 
 Anything else raises RegionError; no silent analytic continuation.
-Derivatives come from the contiguous relation
-d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), which is exact.
 
-Each route sums its series one of two ways, chosen by the type of z.  A
-Fraction z (the 1/pi identities use z = 1/2 and z = -1) is summed exactly
-by binary splitting over Python integers (Haible & Papanikolaou, 1998) and
-rounded once; its Pfaff image z/(z-1) is again a Fraction.  Any other z
-becomes an mpf or mpc, which is exactly an integer (pair) over 2^s, and is
-summed in fixed-point integers with enough guard bits that the per-term
-floor roundings stay below tail_tol / 2.  Both ways sum the number of terms
-_term_count fixes, so the truncated tail and the rounding together stay
-below tail_tol = 10^-(working+5) before the one final rounding to working
-precision.  The Pfaff prefactor is an mpf power either way.
+One fixed-point kernel, _series, sums every series, with z exactly
+(re + i im) / (2^s d) in integers: d = 1 for an mpf or mpc z, and a
+Fraction z (the 1/pi identities use z = 1/2 and z = -1, whose Pfaff image
+is 1/2) keeps its denominator, so it is never rounded.  The same loop sums
+the terms t_k and S1 = sum k t_k, so one pass gives 2F1 and its derivative
+S1/z = (ab/c) 2F1(a+1, b+1; c+1; z).  Terms are counted on that derivative
+series, whose tail dominates, and guard bits keep the floor roundings of
+both sums below tail_tol / 2, so each is within tail_tol = 10^-(working+5)
+before its one rounding to working precision.  The Pfaff prefactor is an
+mpf power.
 """
 
 from __future__ import annotations
@@ -69,27 +67,29 @@ def _as_scalar(z, ctx: PrecisionCtx):
 
 
 def _fixed(z):
-    """Integers (re, im, s) with z = (re + i im) / 2^s exactly, for an mpf or mpc z."""
+    """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
+    for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction."""
+    if isinstance(z, Fraction):
+        den = z.denominator
+        s = (den & -den).bit_length() - 1
+        return z.numerator, 0, s, den >> s
     parts = [x._mpf_ for x in (z.real, z.imag)]
     # mpmath's zero is (0, 0, 0, 0): only nonzero parts set the exponent
     s = max([-exp for _, man, exp, _ in parts if man] + [0])
     re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
-    return re, im, s
+    return re, im, s, 1
 
 
 def _log_abs(z) -> float:
     """log|z| of a Fraction, mpf or mpc from its exact integers, so that it
     never underflows a float; -inf at zero."""
-    if isinstance(z, Fraction):
-        num = abs(z.numerator)
-        return math.log(num) - math.log(z.denominator) if num else -math.inf
-    re, im, s = _fixed(z)
+    re, im, s, d = _fixed(z)
     sq = re * re + im * im
-    return math.log(sq) / 2 - s * math.log(2) if sq else -math.inf
+    return math.log(sq) / 2 - s * math.log(2) - math.log(d) if sq else -math.inf
 
 
 def _max_terms(ctx: PrecisionCtx) -> int:
-    """Most terms either route sums before it gives up with ArithmeticError."""
+    """Most terms a series sums before it gives up with ArithmeticError."""
     return int(80 * (ctx.working_digits + 10)) + 200
 
 
@@ -104,11 +104,10 @@ def _term_count(p: HypParams, z, ctx: PrecisionCtx):
     |term_n| rho/(1-rho) <= tail_tol * 10^-margin; growth is the natural log
     of the largest |term_k / term_j| over j <= k <= n.
 
-    Both routes sum exactly n terms, and the fixed-point route takes its
-    guard bits from n and growth.  The geometric tail bound is rigorous when
-    the parameter factor of the term ratio does not rise again after n,
-    which holds for the parameter sets used here.  Everything runs on float
-    logarithms, so it costs no big-number work.
+    The geometric tail bound is rigorous when the parameter factor of the
+    term ratio does not rise again after n, which holds for the parameter
+    sets used here.  Everything runs on float logarithms, so it costs no
+    big-number work.
     """
     log_az = _log_abs(z)
     if log_az == -math.inf:
@@ -135,121 +134,117 @@ def _term_count(p: HypParams, z, ctx: PrecisionCtx):
     raise ArithmeticError(f"2F1 series did not meet tolerance in {_max_terms(ctx)} terms")
 
 
-def _series(p: HypParams, z, ctx: PrecisionCtx):
-    """The 2F1 series at an mpf or mpc z in fixed point; returns (value, terms_used),
-    the value an mpf for an mpf z.
+def _plan(p: HypParams, z, ctx: PrecisionCtx):
+    """(n, bits): _series sums the terms t_0 ... t_n at z to `bits` fractional bits.
 
-    z is exactly (zr + i zi) / 2^s, so with r(k) = (a+k)(b+k)/((c+k)(k+1))
+    The terms t'_k = (k+1) t_(k+1) c / (abz) of the derivative series
+    (a+1, b+1; c+1), whose tail dominates, are counted: n is one more than
+    their _term_count, so the derivative's tail is below |ab/c| tail_tol / 1000
+    and the value's, at most |abz/c| / (n+1) times that tail, below
+    tail_tol / 1000 once n >= |ab/c|.
+
+    Two floors move each component of term k+1 off the exact product of
+    term k and its ratio by less than 2 units of 2^-bits, and the later
+    ratios carry that on, multiplied by at most e^growth, as
+    t_m / t_j = (t'_(m-1) / t'_(j-1)) j / m.  So the sum misses by less than
+    3 n^2 e^growth 2^-bits, S1 = sum k t_k by less than 3 n^3 e^growth 2^-bits,
+    and S1 / z, floored once more, by less than 4 n^3 e^growth 2^-bits / |z|,
+    which `bits` keeps below tail_tol / 2.
+    """
+    n, growth = _term_count(p.shifted(), z, ctx)
+    n = max(n + 1, math.ceil(abs(p.a * p.b / p.c)))
+    log_az = _log_abs(z)
+    # S1 / z needs no division at z = 0, where S1 = 0
+    log_inv_z = -log_az if log_az > -math.inf else 0.0
+    error_bits = math.log2(4 * n**3) + (growth + log_inv_z) / math.log(2)
+    # 2 more bits cover the float rounding of the count loop
+    return n, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+
+
+def _series(p: HypParams, z, ctx: PrecisionCtx):
+    """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z,
+    summed in fixed point; both are mpfs for a real z, mpcs for an mpc z.
+
+    z is exactly (zr + i zi) / (2^s d), so with r(k) = (a+k)(b+k)/((c+k)(k+1))
     cleared of denominators each term is one integer product, a shift and a
-    division by a small integer, kept to `bits` fractional bits; the terms
-    are summed in an integer and rounded once.  Two floors move term k+1 off
-    the exact product of term k and its ratio by less than 2 units of
-    2^-bits per component (2 sqrt 2 in modulus), and the later ratios carry
-    that error on: into term m it arrives multiplied by term_m / term_(k+1),
-    at most e^growth.  So the n terms differ from their exact sum by less
-    than 3 n^2 e^growth 2^-bits, and `bits` makes that at most tail_tol / 2.
-    With the truncated tail (below tail_tol / 1000) the sum is then within
-    tail_tol of 2F1 before its final rounding.
+    division by a small integer, kept to `bits` fractional bits (_plan
+    bounds the error); a real z skips the imaginary products.  The same loop
+    sums S1 = sum k t_k, and the derivative is S1 / z, formed in integers.
+    Each sum is rounded once.
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    n, growth = _term_count(p, z, ctx)
-    error_bits = math.log2(3 * n * n) + growth / math.log(2)
-    # 2 more bits cover the float rounding of the count loop
-    bits = math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
-    zr, zi, s = _fixed(z)
+    n, bits = _plan(p, z, ctx)
+    zr, zi, s, d = _fixed(z)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
-    dd = ad * bd
+    dd = ad * bd * d
     tr = total_r = 1 << bits
-    ti = total_i = 0  # stays 0 for a real z
+    ti = total_i = s1_r = s1_i = 0
     for k in range(n):
         num = (an + k * ad) * (bn + k * bd) * cd
         den = (cn + k * cd) * (k + 1) * dd
-        tr, ti = tr * num, ti * num
-        tr, ti = (tr * zr - ti * zi >> s) // den, (tr * zi + ti * zr >> s) // den
+        if zi:
+            nr, ni = num * zr, num * zi
+            tr, ti = (tr * nr - ti * ni >> s) // den, (tr * ni + ti * nr >> s) // den
+            total_i += ti
+            s1_i += (k + 1) * ti
+        else:
+            tr = (tr * (num * zr) >> s) // den
         total_r += tr
-        total_i += ti
+        s1_r += (k + 1) * tr
+    if zr or zi:
+        # S1 / z = S1 (zr - i zi) 2^s d / (zr^2 + zi^2)
+        scale, norm = d << s, zr * zr + zi * zi
+        dr, di = (s1_r * zr + s1_i * zi) * scale // norm, (s1_i * zr - s1_r * zi) * scale // norm
+    else:
+        dr, di = math.floor(p.a * p.b / p.c * (1 << bits)), 0  # the derivative ab/c at z = 0
     mp = ctx.mp
-    value = mp.ldexp(mp.mpf(total_r), -bits)
-    if hasattr(z, "_mpc_"):
-        return mp.mpc(value, mp.ldexp(mp.mpf(total_i), -bits)), n
-    return value, n
+
+    def rounded(re, im):
+        x = mp.ldexp(mp.mpf(re), -bits)
+        return mp.mpc(x, mp.ldexp(mp.mpf(im), -bits)) if hasattr(z, "_mpc_") else x
+
+    return rounded(total_r, total_i), rounded(dr, di), n
 
 
-def _bsplit(p: HypParams, z: Fraction, n: int):
-    """Integers (P, Q, T) with T/Q = sum over 1 <= m <= n of the 2F1 terms
-    r(0)...r(m-1), where r(k) = (a+k)(b+k) z / ((c+k)(k+1)) is cleared of
-    denominators, and P/Q = r(0)...r(n-1).  Each half of a range is split
-    again, so the products are of balanced size."""
-    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
-    num_factor = cd * z.numerator
-    den_factor = ad * bd * z.denominator
+def _hyp2f1_pair(p: HypParams, z, ctx: PrecisionCtx):
+    """(2F1(a, b; c; z), its z-derivative) from one series, by the direct
+    series or the Pfaff transformation; RegionError outside both regions.
 
-    def split(n0, n1):
-        if n1 - n0 == 1:
-            num = (an + n0 * ad) * (bn + n0 * bd) * num_factor
-            return num, (cn + n0 * cd) * (n0 + 1) * den_factor, num
-        m = (n0 + n1) // 2
-        P1, Q1, T1 = split(n0, m)
-        P2, Q2, T2 = split(m, n1)
-        return P1 * P2, Q1 * Q2, T1 * Q2 + P1 * T2
-
-    return split(0, n)
-
-
-def _exact_series(p: HypParams, z: Fraction, ctx: PrecisionCtx):
-    """The 2F1 series at rational z by binary splitting; returns (value, terms_used).
-
-    The first N terms (N from _term_count) sum exactly to 1 + T/Q, which is
-    rounded once, through one integer division, to 2^-bits.  T and Q never
-    become mpfs.
-    """
-    n, _ = _term_count(p, z, ctx)
-    _, Q, T = _bsplit(p, z, n)
-    bits = ctx.mp.prec + 32
-    # A bits-bit quotient needs only the leading bits of Q; dropping the rest
-    # keeps the division from growing with Q and adds an error of at most
-    # (1 + |value|) 2^-(bits+31).
-    shift = max(0, Q.bit_length() - bits - 32)
-    man = (((Q + T) >> shift) << bits) // (Q >> shift)
-    return ctx.mp.ldexp(ctx.mp.mpf(man), -bits), n
-
-
-def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
-    """2F1(a, b; c; z) by direct series or Pfaff transformation.
-
-    A Fraction z is summed exactly (binary splitting), any other z in
-    fixed-point integers; the regions are the same for both.  Raises
-    RegionError outside the two regions; the caller must transform.
+    Through Pfaff, F = (1-z)^(-a) G(w) with w = z/(z-1), so
+    F' = (1-z)^(-a-1) (a G(w) - G'(w) / (1-z)).
     """
     zs = _as_scalar(z, ctx)
-    if isinstance(z, Fraction):
-        series = _exact_series
-    else:
-        series, z = _series, zs
-    az = abs(zs)
+    if not isinstance(z, Fraction):
+        z = zs
     # slack so boundary points computed with working-precision noise
     # (e.g. lambda(i) = 1/2 + O(eps)) still land in their region
     half = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol)
-    if az <= half:
-        return series(p, z, ctx)[0]
-    if zs.real < 0:
+    if abs(zs) > half and zs.real < 0:
         w = z / (z - 1)
         if abs(_as_scalar(w, ctx)) <= half:
-            value, _ = series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
-            return (1 - zs) ** ctx.real(-p.a) * value
-    if az <= ctx.real(DIRECT_RADIUS):
-        return series(p, z, ctx)[0]
+            g, dg, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
+            one_minus_z = _as_scalar(1 - z, ctx)
+            prefactor = one_minus_z ** ctx.real(-p.a)
+            return prefactor * g, prefactor / one_minus_z * (ctx.real(p.a) * g - dg / one_minus_z)
+    if abs(zs) <= ctx.real(DIRECT_RADIUS):
+        return _series(p, z, ctx)[:2]
     raise RegionError(
         f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
         "(Re z < 0, |z/(z-1)| <= 1/2) regions"
     )
 
 
+def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):
+    """2F1(a, b; c; z) by direct series or Pfaff transformation; a Fraction z
+    is never rounded.  RegionError outside both regions: the caller transforms."""
+    return _hyp2f1_pair(p, z, ctx)[0]
+
+
 def hyp_derivative(p: HypParams, z, ctx: PrecisionCtx):
-    """d/dz 2F1(a,b;c;z) via the contiguous relation (exact shift)."""
-    factor = p.a * p.b / p.c
-    return ctx.real(factor) * hyp2f1(p.shifted(), z, ctx)
+    """d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z), from the weighted sum
+    of the same series as the value."""
+    return _hyp2f1_pair(p, z, ctx)[1]
 
 
 def legendre_F(lam, ctx: PrecisionCtx):
@@ -257,24 +252,30 @@ def legendre_F(lam, ctx: PrecisionCtx):
     return hyp2f1(F_PARAMS, lam, ctx)
 
 
+def legendre_F_F2(lam, ctx: PrecisionCtx):
+    """(F(lambda), F2(lambda)) from one series: F2 = 2F1(3/2, 3/2; 2; lambda)
+    = 4 dF/dlambda."""
+    F, dF = _hyp2f1_pair(F_PARAMS, lam, ctx)
+    return F, 4 * dF
+
+
 def legendre_F2(lam, ctx: PrecisionCtx):
     """F2(lambda) = 2F1(3/2, 3/2; 2; lambda) = 4 dF/dlambda."""
-    return hyp2f1(F2_PARAMS, lam, ctx)
+    return legendre_F_F2(lam, ctx)[1]
 
 
 def picard_fuchs_residual(lam, ctx: PrecisionCtx):
     """|lam(1-lam) P'' + (1-2 lam) P' - P/4| for P = F(lambda).
 
-    Both derivatives go through the contiguous relation (P'' uses it
-    twice), so the residual certifies that F solves the second-order
+    P and P' come from one series, P'' = (1/4) d/dlambda 2F1(3/2, 3/2; 2)
+    from a second, so the residual certifies that F solves the second-order
     equation down to series truncation error.
     """
     lam = ctx.real(lam)
     if not (0 < lam <= 0.5):
         raise ValueError("residual check needs lambda in (0, 1/2]; endpoints are singular")
-    P = hyp2f1(F_PARAMS, lam, ctx)
-    P1 = hyp_derivative(F_PARAMS, lam, ctx)
-    P2 = hyp_derivative(F_PARAMS.shifted(), lam, ctx) * ctx.real(Fraction(1, 4))
+    P, P1 = _hyp2f1_pair(F_PARAMS, lam, ctx)
+    P2 = hyp_derivative(F2_PARAMS, lam, ctx) * ctx.real(Fraction(1, 4))
     return abs(lam * (1 - lam) * P2 + (1 - 2 * lam) * P1 - P / 4)
 
 

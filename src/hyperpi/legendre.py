@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BranchWarning
-from .hypergeometric import legendre_F, legendre_F2
+from .hypergeometric import legendre_F, legendre_F_F2
 from .modular import (
     TauPoint,
     delta_tau,
@@ -108,10 +108,9 @@ def period_classical(lam, ctx: PrecisionCtx):
 
 def quasiperiod_bruns(lam, ctx: PrecisionCtx) -> PeriodPair:
     """(Omega1, H1) with H1 from Bruns' first differential relation;
-    dOmega1/dlambda = (pi/4) 2F1(3/2, 3/2; 2; lambda) by the contiguous rule."""
+    dOmega1/dlambda = (pi/4) F2(lambda), with F and F2 from one series."""
     pi = pi_reference(ctx)
-    F = legendre_F(lam, ctx)
-    F2 = legendre_F2(lam, ctx)
+    F, F2 = legendre_F_F2(lam, ctx)
     omega1 = pi * F
     d_omega1 = pi / 4 * F2
     h1 = -2 * lam * (lam - 1) * d_omega1 - (2 * lam - 1) / 3 * omega1

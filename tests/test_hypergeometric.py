@@ -101,21 +101,22 @@ class TestHyp2f1:
     @pytest.mark.parametrize("lam", ["-0.05", "-0.3", "-0.62", "-0.9"])
     def test_pfaff_consistent_with_direct_series(self, ctx50, lam):
         z = ctx50.real(lam)
-        direct, _ = _series(F_PARAMS, z, ctx50)
+        direct = _series(F_PARAMS, z, ctx50)[0]
         assert abs(hyp2f1(F_PARAMS, z, ctx50) - direct) < ctx50.real("1e-55")
 
     @pytest.mark.parametrize("x", ["0.3", "-0.7", "0.9"])
     def test_real_series_is_real_part_of_complex_series(self, ctx50, x):
         z = ctx50.real(x)
-        value, n = _series(F2_PARAMS, z, ctx50)
-        complex_value, complex_n = _series(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50)
-        assert isinstance(value, ctx50.mp.mpf)
+        value, deriv, n = _series(F2_PARAMS, z, ctx50)
+        complex_value, complex_deriv, complex_n = _series(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50)
+        assert isinstance(value, ctx50.mp.mpf) and isinstance(deriv, ctx50.mp.mpf)
         assert value == complex_value.real and complex_value.imag == 0
+        assert deriv == complex_deriv.real and complex_deriv.imag == 0
         assert n == complex_n
 
     def test_wide_direct_region_against_agm(self, ctx50):
         z = ctx50.real("0.9")
-        value, n_terms = _series(F_PARAMS, z, ctx50)
+        value, _, n_terms = _series(F_PARAMS, z, ctx50)
         assert abs(value - hyp_via_agm(z, ctx50)) < ctx50.real("1e-55")
         # |z| = 0.9 costs ~22 digits/term-decade: keep the count bounded
         assert n_terms < 25 * (ctx50.working_digits + 10)
@@ -139,7 +140,8 @@ class TestHyp2f1:
 
 
 class TestExactRoute:
-    """Fraction arguments: binary splitting against third-party mpmath.hyp2f1."""
+    """Fraction arguments, summed exactly by the fixed-point kernel, against
+    third-party mpmath.hyp2f1."""
 
     @pytest.mark.parametrize("digits", [50, 1000])
     @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
@@ -155,9 +157,9 @@ class TestExactRoute:
     @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
     @pytest.mark.parametrize("z", EXACT_POINTS, ids=str)
     def test_agrees_with_mpf_route(self, ctx50, p, z):
-        # both routes are within tail_tol of the exact sum before one final
-        # rounding, so they differ by at most that rounding (they agree to
-        # the last bit at every point here, also at 100, 300 and 1000 digits)
+        # the Fraction and its rounded mpf are both within tail_tol of their
+        # exact sums before one final rounding, so they differ by at most
+        # that rounding and the rounding of z
         assert abs(hyp2f1(p, z, ctx50) - hyp2f1(p, ctx50.real(z), ctx50)) <= ctx50.eps
 
     @pytest.mark.parametrize(
@@ -166,7 +168,7 @@ class TestExactRoute:
     def test_never_fewer_terms_than_mpf_route(self, request, digits, z):
         ctx = request.getfixturevalue(f"ctx{digits}")
         for p in EXACT_PARAMS:
-            assert _term_count(p, z, ctx)[0] >= _series(p, ctx.real(z), ctx)[1]
+            assert _series(p, z, ctx)[-1] >= _series(p, ctx.real(z), ctx)[-1]
 
     def test_terminating_series(self, ctx50):
         # 2F1(-2, 1/2; 1; z) = 1 - z + (3/8) z^2, which is 17/24 at z = 1/3
@@ -191,7 +193,7 @@ class TestFixedPointRoute:
     def test_direct_series_against_mpmath(self, p, digits, modulus, angle, real):
         ctx = ctx_new(digits)
         z = _polar_point(ctx, modulus, angle, real)
-        value, _ = _series(p, z, ctx)
+        value = _series(p, z, ctx)[0]
         assert _against_mpmath(p, z, value, ctx) <= 1
 
     # the Pfaff route rounds z/(z-1) and (1-z)^-a, and the value's
@@ -232,6 +234,23 @@ class TestFixedPointRoute:
         assert abs(num) <= math.prod(r.denominator for r in ratios) * bound.denominator
 
 
+# Fractions, mpfs and mpcs (as (re, im) strings) in the direct region and,
+# at -1, -0.7 and -0.8+0.3i, in the Pfaff region; S1/z at z = 1e-30 needs
+# the guard bits that cover the division by |z|
+DERIVATIVE_POINTS = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 2), Fraction(-1), "0.3", "-0.7", "1e-30",
+                     ("0.2", "0.1"), ("-0.8", "0.3"), Fraction(0)]
+
+
+def _point_id(spec):
+    return "{}+{}i".format(*spec) if isinstance(spec, tuple) else str(spec)
+
+
+def _point(ctx, spec):
+    if isinstance(spec, tuple):
+        return ctx.mp.mpc(*spec)
+    return spec if isinstance(spec, Fraction) else ctx.real(spec)
+
+
 class TestDerivative:
     def test_leading_coefficient_at_zero(self, ctx50):
         assert hyp_derivative(F_PARAMS, 0, ctx50) == ctx50.real("0.25")
@@ -239,6 +258,32 @@ class TestDerivative:
     def test_matches_f2_by_definition(self, ctx50):
         z = ctx50.real("0.5")
         assert hyp_derivative(F_PARAMS, z, ctx50) == legendre_F2(z, ctx50) / 4
+
+    @pytest.mark.parametrize("digits", [50, 1000])
+    @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
+    @pytest.mark.parametrize("spec", DERIVATIVE_POINTS, ids=_point_id)
+    def test_against_mpmath(self, request, digits, p, spec):
+        # d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), the oracle at
+        # 30 more bits and at the exact rational for a Fraction z
+        ctx = request.getfixturevalue(f"ctx{digits}")
+        z = _point(ctx, spec)
+        with mpmath.workprec(ctx.mp.prec + 30):
+            a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
+            zq = mpmath.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else mpmath.mpmathify(z)
+            oracle = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, zq)
+            error = abs(mpmath.mpmathify(hyp_derivative(p, z, ctx)) - oracle)
+            assert error <= mpmath.mpf(ctx.eps) * max(1, abs(oracle))
+
+    @pytest.mark.parametrize("digits", [30, 50, 100])
+    @pytest.mark.parametrize("z", [Fraction(14, 15), Fraction(13, 14)], ids=str)
+    def test_non_dyadic_fraction_is_summed_exactly(self, request, digits, z):
+        # within half a unit in the last place of F2 at the exact rational:
+        # rounding z to an mpf first moves F2 by 1 to 4 such units here
+        ctx = request.getfixturevalue(f"ctx{digits}")
+        with mpmath.workprec(ctx.mp.prec + 60):
+            oracle = mpmath.hyp2f1(1.5, 1.5, 2, mpmath.mpf(z.numerator) / z.denominator)
+            error = abs(hyp2f1(F2_PARAMS, z, ctx) - oracle)
+            assert error <= abs(oracle) * mpmath.mpf(2) ** -ctx.mp.prec + ctx.tail_tol
 
     def test_against_central_differences(self, ctx50):
         z = ctx50.real("0.3")
