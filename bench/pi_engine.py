@@ -58,14 +58,15 @@ def summary(samples: list[float]) -> dict:
 
 def series_counts(src: str, digits_list: list[int]) -> dict:
     sys.path.insert(0, src)
-    from fractions import Fraction
+    import math
 
     from hyperpi.hypergeometric import F_PARAMS, _plan
     from hyperpi.numerics import ctx_new
 
     counts = {}
     for digits in digits_list:
-        terms, bits = _plan(F_PARAMS, Fraction(1, 2), ctx_new(digits))
+        # _plan takes log|z|, here of z = 1/2
+        terms, bits = _plan(F_PARAMS, -math.log(2), ctx_new(digits))
         counts[str(digits)] = {"terms": terms, "fixed_point_bits": bits}
     return counts
 
@@ -99,7 +100,7 @@ def main() -> None:
                                          "speedup": round(before["median"] / after["median"], 1)}
     report = {
         "what": "median wall time of one `hyperpi pi --method M --digits N` call after a warm-up, "
-                "before and after summing F and F2 in one fixed-point pass",
+                "with hyperpi imported from the --before and the --after tree",
         "command": "python3 bench/pi_engine.py " + " ".join(sys.argv[1:]),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND},

@@ -15,14 +15,18 @@ Fraction z (the 1/pi identities use z = 1/2 and z = -1, whose Pfaff image
 is 1/2) keeps its denominator, so it is never rounded.  The same loop sums
 the terms t_k and S1 = sum k t_k, so one pass gives 2F1 and its derivative
 S1/z = (ab/c) 2F1(a+1, b+1; c+1; z).  Terms are counted on that derivative
-series, whose tail dominates, and guard bits keep the floor roundings of
-both sums below tail_tol / 2, so each is within tail_tol = 10^-(working+5)
-before its one rounding to working precision.  The Pfaff prefactor is an
-mpf power.
+series, whose tail dominates: from a K found in closed form its term ratio
+stays below rho = (1+|z|)/2, so the tail after a term t is below
+|t| rho / (1-rho), for every rational (a, b; c), and the count comes from K
+exact ratios and a bisection on lgamma, not a walk over all terms.  Guard
+bits keep the floor roundings of both sums below tail_tol / 2, so each is
+within tail_tol = 10^-(working+5) before its one rounding to working
+precision.  The Pfaff prefactor is an mpf power.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,84 +84,74 @@ def _fixed(z):
     return re, im, s, 1
 
 
-def _log_abs(z) -> float:
-    """log|z| of a Fraction, mpf or mpc from its exact integers, so that it
-    never underflows a float; -inf at zero."""
-    re, im, s, d = _fixed(z)
-    sq = re * re + im * im
-    return math.log(sq) / 2 - s * math.log(2) - math.log(d) if sq else -math.inf
+def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
+    """(n, bits): _series sums t_0 ... t_n at a z with log|z| = log_az to
+    `bits` fractional bits.
 
-
-def _max_terms(ctx: PrecisionCtx) -> int:
-    """Most terms a series sums before it gives up with ArithmeticError."""
-    return int(80 * (ctx.working_digits + 10)) + 200
-
-
-# Terms are counted from float logarithms; this many extra digits of tail
-# bound cover their rounding.
-_COUNT_MARGIN_DIGITS = 3
-
-
-def _term_count(p: HypParams, z, ctx: PrecisionCtx):
-    """(n, growth) for the series at z: n is the first count >= 3 whose last
-    term ratio is below rho = (1+|z|)/2 and whose last term has
-    |term_n| rho/(1-rho) <= tail_tol * 10^-margin; growth is the natural log
-    of the largest |term_k / term_j| over j <= k <= n.
-
-    The geometric tail bound is rigorous when the parameter factor of the
-    term ratio does not rise again after n, which holds for the parameter
-    sets used here.  Everything runs on float logarithms, so it costs no
-    big-number work.
-    """
-    log_az = _log_abs(z)
-    if log_az == -math.inf:
-        return 1, 0.0  # z = 0: the terms after the first vanish
-    rho = (1 + math.exp(log_az)) / 2
-    # strict, with slack, so float rounding never admits a ratio above rho
-    log_ratio_limit = math.log(rho) - 1e-9
-    log_limit = -(ctx.working_digits + 5 + _COUNT_MARGIN_DIGITS) * math.log(10) - math.log(rho / (1 - rho))
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    log_term = low = growth = 0.0
-    for n in range(_max_terms(ctx)):
-        ratio = abs((a + n) * (b + n) / ((c + n) * (n + 1)))
-        if ratio == 0:
-            # a terminating series (a or b = -n): later terms vanish
-            return n + 1, growth
-        log_ratio = math.log(ratio) + log_az
-        log_term += log_ratio
-        if log_term < low:
-            low = log_term
-        elif log_term - low > growth:
-            growth = log_term - low
-        if log_term <= log_limit and log_ratio < log_ratio_limit and n >= 2:
-            return n + 1, growth
-    raise ArithmeticError(f"2F1 series did not meet tolerance in {_max_terms(ctx)} terms")
-
-
-def _plan(p: HypParams, z, ctx: PrecisionCtx):
-    """(n, bits): _series sums the terms t_0 ... t_n at z to `bits` fractional bits.
-
-    The terms t'_k = (k+1) t_(k+1) c / (abz) of the derivative series
-    (a+1, b+1; c+1), whose tail dominates, are counted: n is one more than
-    their _term_count, so the derivative's tail is below |ab/c| tail_tol / 1000
-    and the value's, at most |abz/c| / (n+1) times that tail, below
-    tail_tol / 1000 once n >= |ab/c|.
+    N counts the derivative series (a', b'; c') = (a+1, b+1; c+1), whose
+    terms t'_k = (k+1) t_(k+1) c / (abz) have the dominant tail: with n =
+    max(N + 1, |ab/c|) the derivative's tail is |ab/c| times theirs after
+    t'_N, and the value's at most |abz/c| / (n+1) times that.  A series
+    with a' or b' a non-positive integer -m ends at N = m + 1.  Otherwise
+    let K be the first integer past max(-a', -b', -c') and past the larger
+    root of the quadratic (rho - |z|) k^2 - B k - C, rho = (1+|z|)/2, that is
+    rho (c'+k)(k+1) - |z| (a'+k)(b'+k): for every k >= K each factor is
+    positive and |t'_(k+1) / t'_k| < rho.  The first K ratios are walked
+    exactly; from K on, log|t'_m| is log|t'_K| plus lgamma differences and
+    falls, and bisection finds the first N > max(K, 2) with
+    |t'_N| rho / (1-rho) <= tail_tol / 1000, a bound on the tail after t'_N.
 
     Two floors move each component of term k+1 off the exact product of
     term k and its ratio by less than 2 units of 2^-bits, and the later
-    ratios carry that on, multiplied by at most e^growth, as
+    ratios carry that on, multiplied by at most e^growth, the largest rise
+    of |t'_k| (reached by K, as the terms fall after it), as
     t_m / t_j = (t'_(m-1) / t'_(j-1)) j / m.  So the sum misses by less than
     3 n^2 e^growth 2^-bits, S1 = sum k t_k by less than 3 n^3 e^growth 2^-bits,
     and S1 / z, floored once more, by less than 4 n^3 e^growth 2^-bits / |z|,
     which `bits` keeps below tail_tol / 2.
     """
-    n, growth = _term_count(p.shifted(), z, ctx)
-    n = max(n + 1, math.ceil(abs(p.a * p.b / p.c)))
-    log_az = _log_abs(z)
+    q = p.shifted()
+    cap = int(80 * (ctx.working_digits + 10)) + 200  # the most terms before ArithmeticError
+    ends = [1 - x for x in (q.a, q.b) if x.denominator == 1 and x <= 0]
+    geometric = log_az > -math.inf and not ends
+    if not geometric:
+        walk = 0 if log_az == -math.inf else int(min(ends)) - 1  # z = 0 leaves one term
+    else:
+        az = math.exp(log_az)
+        rho = (1 + az) / 2
+        # the larger root of (rho - |z|) k^2 - B k - C, with slack for its rounding
+        B = az * float(q.a + q.b) - rho * float(q.c + 1)
+        C = az * float(q.a * q.b) - rho * float(q.c)
+        disc = B * B + 4 * (rho - az) * C
+        root = (B + math.sqrt(disc)) / (2 * (rho - az)) if disc >= 0 else -1.0
+        walk = max(math.floor(-min(q.a, q.b, q.c)) + 1, math.floor(root + 1e-9 * (1 + abs(root))) + 1, 0)
+    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (q.a, q.b, q.c))
+    log_term = low = growth = 0.0
+    for k in range(walk if walk < cap else 0):  # else the count exceeds cap anyway
+        num, den = (an + k * ad) * (bn + k * bd) * cd, (cn + k * cd) * (k + 1) * ad * bd
+        log_term += math.log(abs(num)) - math.log(abs(den)) + log_az
+        low = min(low, log_term)
+        growth = max(growth, log_term - low)
+    count = walk + 1
+    if geometric:
+        # tail_tol / 1000: 3 digits cover the rounding of the float logarithms
+        log_limit = -(ctx.working_digits + 8) * math.log(10) - math.log(rho / (1 - rho))
+
+        # x + walk > 0 may be tiny, so it is summed exactly; x + m > 1 is safe in floats
+        at_walk = [(float(x), math.lgamma(x + walk)) for x in (q.a, q.b, q.c, 1)]
+
+        def below_limit(m):  # log|t'_m| <= log_limit, for m > walk
+            rise = [math.lgamma(x + m) - at for x, at in at_walk]
+            return log_term + (m - walk) * log_az + rise[0] + rise[1] - rise[2] - rise[3] <= log_limit
+
+        count = bisect.bisect_left(range(cap + 1), True, max(count, 3), key=below_limit)
+    if count > cap:
+        raise ArithmeticError(f"2F1 series did not meet tolerance in {cap} terms")
+    n = max(count + 1, math.ceil(abs(p.a * p.b / p.c)))
     # S1 / z needs no division at z = 0, where S1 = 0
     log_inv_z = -log_az if log_az > -math.inf else 0.0
     error_bits = math.log2(4 * n**3) + (growth + log_inv_z) / math.log(2)
-    # 2 more bits cover the float rounding of the count loop
+    # 2 more bits cover the float rounding of the count
     return n, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
 
 
@@ -174,8 +168,9 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    n, bits = _plan(p, z, ctx)
     zr, zi, s, d = _fixed(z)
+    norm = zr * zr + zi * zi
+    n, bits = _plan(p, math.log(norm) / 2 - s * math.log(2) - math.log(d) if norm else -math.inf, ctx)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
     tr = total_r = 1 << bits
@@ -194,7 +189,7 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
         s1_r += (k + 1) * tr
     if zr or zi:
         # S1 / z = S1 (zr - i zi) 2^s d / (zr^2 + zi^2)
-        scale, norm = d << s, zr * zr + zi * zi
+        scale = d << s
         dr, di = (s1_r * zr + s1_i * zi) * scale // norm, (s1_i * zr - s1_r * zi) * scale // norm
     else:
         dr, di = math.floor(p.a * p.b / p.c * (1 << bits)), 0  # the derivative ab/c at z = 0

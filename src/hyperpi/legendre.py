@@ -36,7 +36,7 @@ from .modular import (
     lambda_tau,
     lambda_tau_reduced,
 )
-from .numerics import PrecisionCtx, format_value, pi_reference
+from .numerics import PrecisionCtx, agm_sums, format_value, pi_reference
 from .reports import FormulaReport, make_report
 
 
@@ -117,16 +117,22 @@ def quasiperiod_bruns(lam, ctx: PrecisionCtx) -> PeriodPair:
     return PeriodPair(omega1=omega1, h1=h1, F=F, F2=F2)
 
 
+def _d_omega1_agm(lam, ctx: PrecisionCtx):
+    """dOmega1/dlambda = 2 dK/dm = (E - (1-m) K) / (m (1-m)) at m = lambda from
+    the AGM of 1 and sqrt(1-m) alone: Omega1 = 2K = pi / a_N and, by
+    Legendre, E = K (1 - m/2 + t_N) with t = 0 in agm_sums."""
+    for a, b, t in agm_sums(ctx.mp.sqrt(1 - lam), 0, ctx.mp):
+        if abs(a - b) < ctx.eps:
+            return pi_reference(ctx) / (2 * a) * (lam / 2 + t) / (lam * (1 - lam))
+
+
 def bruns_residuals(lam, ctx: PrecisionCtx):
     """Residuals of both Bruns differential relations at real lambda in (0, 1/2].
 
-    dOmega1/dlambda is exact (contiguous relation); dH1/dlambda uses central
-    differences with step 10^(-working/4), which limits the attainable
-    residual of the second relation to roughly h^2.
-
-    res1 substitutes the same dOmega1/dlambda that H1 was built from, so it
-    is zero up to rounding for any F and F2, right or wrong: it checks
-    rounding only.
+    Omega1 and H1 come from one 2F1 series.  res1 takes dOmega1/dlambda from
+    the AGM, so an error in F2, which built H1, shows in it.  res2 takes
+    dH1/dlambda by central differences with step h = 10^(-working/4), which
+    limits the attainable residual of the second relation to roughly h^2.
     """
     mp = ctx.mp
     lam = ctx.real(lam)
@@ -134,9 +140,8 @@ def bruns_residuals(lam, ctx: PrecisionCtx):
         raise ValueError("residuals need lambda in (0, 1/2]; endpoints are singular")
     pair = quasiperiod_bruns(lam, ctx)
     omega1, h1 = pair.omega1, pair.h1
-    d_omega1 = pi_reference(ctx) / 4 * pair.F2
     denom = lam * (lam - 1)
-    res1 = abs(d_omega1 + h1 / (2 * denom) + (2 * lam - 1) / (6 * denom) * omega1)
+    res1 = abs(_d_omega1_agm(lam, ctx) + h1 / (2 * denom) + (2 * lam - 1) / (6 * denom) * omega1)
 
     h = mp.mpf(10) ** (-(ctx.working_digits // 4))
     h1_plus = quasiperiod_bruns(lam + h, ctx).h1

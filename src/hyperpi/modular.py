@@ -13,6 +13,7 @@ lambda_tau_reduced reaches the point through S and T moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -65,21 +66,16 @@ def _require_im(t: TauPoint, minimum: float, what: str):
 # ---------------------------------------------------------------------------
 
 def _euler(y, ctx: PrecisionCtx):
-    """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2),
-    summed to the first term below tail_tol."""
+    """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2) over
+    |n| <= N, the first n with n(3n-1)/2 > log(tail_tol) / log|y|, so that
+    |y|^(N(3N-1)/2) < tail_tol.  Later exponents start at (N+1)(3N+2)/2 and
+    rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|)."""
     mp = ctx.mp
-    ay = abs(y)
-    tol = ctx.tail_tol
+    ratio = float(mp.log(ctx.tail_tol) / mp.log(abs(y)))
     total = mp.mpf(1)
-    n = 1
-    while True:
-        e_pos = n * (3 * n - 1) // 2
-        e_neg = n * (3 * n + 1) // 2
-        term = y**e_pos + y**e_neg
+    for n in range(1, math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 2):
+        term = y ** (n * (3 * n - 1) // 2) + y ** (n * (3 * n + 1) // 2)
         total = total - term if n % 2 else total + term
-        if ay**e_pos < tol:
-            break
-        n += 1
     return total
 
 

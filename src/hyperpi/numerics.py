@@ -190,19 +190,19 @@ def agm(a, b, ctx: PrecisionCtx):
     raise ArithmeticError("AGM iteration failed to converge")
 
 
-def _gauss_legendre_iterates(mp: MPContext):
-    """Successive Gauss-Legendre approximations (a+b)^2 / (4t) to pi."""
-    a = mp.mpf(1)
-    b = 1 / mp.sqrt(mp.mpf(2))
-    t = mp.mpf(1) / 4
-    p = mp.mpf(1)
+def agm_sums(b, t, mp: MPContext):
+    """Successive (a_n, b_n, t_n) of the AGM of a_0 = 1 and b_0 = b with
+    Legendre's sum t_n = t - sum_(k=1..n) 2^(k-1) c_k^2, c_k = a_(k-1) - a_k."""
+    a, p = mp.mpf(1), mp.mpf(1)
     while True:
         an = (a + b) / 2
-        b = mp.sqrt(a * b)
-        t -= p * (a - an) ** 2
-        a = an
-        p *= 2
-        yield (a + b) ** 2 / (4 * t)
+        a, b, t, p = an, mp.sqrt(a * b), t - p * (a - an) ** 2, 2 * p
+        yield a, b, t
+
+
+def _gauss_legendre_iterates(mp: MPContext):
+    """Successive Gauss-Legendre approximations (a+b)^2 / (4t) to pi."""
+    return ((a + b) ** 2 / (4 * t) for a, b, t in agm_sums(1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp))
 
 
 def pi_reference(ctx: PrecisionCtx):

@@ -18,7 +18,7 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _series, _term_count
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, _series
 from hyperpi.numerics import ctx_new
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -218,20 +218,55 @@ class TestFixedPointRoute:
     @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
     @pytest.mark.parametrize("z", ["0.9", "-0.45", "0.3", Fraction(3, 4)], ids=str)
     def test_term_count_meets_tail_rule(self, ctx50, p, z):
-        # exact rationals: the last term ratio is below rho = (1+|z|)/2 and
-        # the geometric tail after the last term is below tail_tol
+        # exact rationals on the derivative series _plan counts: from its
+        # last counted term t'_N (N = n - 1) on, the term ratio stays below
+        # rho = (1+|z|)/2, and the geometric tail after t'_N is below tail_tol
         if not isinstance(z, Fraction):
             z = ctx50.real(z)
-        n, _ = _term_count(p, z, ctx50)
         zq = z if isinstance(z, Fraction) else _exact(z)
-        ratios = [(p.a + k) * (p.b + k) / ((p.c + k) * (k + 1)) * zq for k in range(n)]
+        n, _ = _plan(p, math.log(abs(zq)), ctx50)
+        q = p.shifted()
+        ratios = [(q.a + k) * (q.b + k) / ((q.c + k) * (k + 1)) * zq for k in range(n + 100)]
         rho = (1 + abs(zq)) / 2
-        assert n >= 3 and abs(ratios[-1]) < rho
-        # |term_n| rho / (1-rho) <= 10^-(working+5), in integers: a Fraction
-        # would reduce the product of n ratios by a slow gcd
+        assert n >= 4 and all(abs(r) < rho for r in ratios[n - 2:])
+        # |t'_N| rho / (1-rho) <= 10^-(working+5), in integers: a Fraction
+        # would reduce the product of N ratios by a slow gcd
         bound = rho / (1 - rho)
-        num = math.prod(r.numerator for r in ratios) * bound.numerator * 10 ** (ctx50.working_digits + 5)
-        assert abs(num) <= math.prod(r.denominator for r in ratios) * bound.denominator
+        head = ratios[:n - 1]
+        num = math.prod(r.numerator for r in head) * bound.numerator * 10 ** (ctx50.working_digits + 5)
+        assert abs(num) <= math.prod(r.denominator for r in head) * bound.denominator
+
+    @pytest.mark.parametrize("digits,plan", [(1000, (3395, 3423)), (2000, (6720, 6752)), (10000, (33296, 33334))])
+    def test_pi_engine_plan_is_pinned(self, digits, plan):
+        # the (terms, fixed-point bits) of F(1/2), the series both pi engines sum
+        assert _plan(F_PARAMS, math.log(Fraction(1, 2)), ctx_new(digits)) == plan
+
+
+class TestNearTerminatingParameters:
+    """a within 10^-80 of -5: the series does not end at the sixth term,
+    and its terms grow for thousands of terms before they fall."""
+
+    P = HypParams(Fraction(-5) + Fraction(1, 10**80), 3000, 500)
+
+    @staticmethod
+    def _oracle():
+        with mpmath.workdps(300):
+            return mpmath.hyp2f1(mpmath.mpf(-5) + mpmath.mpf(10) ** -80, 3000, 500, mpmath.mpf(1) / 2)
+
+    def test_against_mpmath(self, ctx100):
+        oracle = self._oracle()
+        with mpmath.workdps(300):
+            assert abs(hyp2f1(self.P, Fraction(1, 2), ctx100) - oracle) <= abs(oracle) * mpmath.mpf(ctx100.eps)
+
+    def test_right_value_or_arithmetic_error(self, ctx30):
+        # the series needs more terms than 30 digits allow
+        try:
+            value = hyp2f1(self.P, Fraction(1, 2), ctx30)
+        except ArithmeticError:
+            return
+        oracle = self._oracle()
+        with mpmath.workdps(300):
+            assert abs(value - oracle) <= abs(oracle) * mpmath.mpf(ctx30.eps)
 
 
 # Fractions, mpfs and mpcs (as (re, im) strings) in the direct region and,

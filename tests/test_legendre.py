@@ -22,6 +22,7 @@ from hyperpi import (
     tau_point,
     weierstrass_from_lambda,
 )
+from hyperpi import legendre
 from hyperpi.numerics import PrecisionCtx, ctx_new
 
 from _oracles import F_HALF
@@ -114,6 +115,20 @@ class TestBrunsResiduals:
         res1, res2 = bruns_residuals(ctx.real(num) / 100, ctx)
         assert res1 < ctx.real("1e-50")
         assert res2 < ctx.real("1e-15")  # central-difference limited
+
+    @pytest.mark.parametrize("num", [5, 25, 50])
+    def test_first_residual_sees_a_wrong_f2(self, monkeypatch, num):
+        # F2 off by 10^-12 relative must push res1 over the selftest's 10^-15
+        right = legendre.legendre_F_F2
+
+        def wrong(lam, ctx):
+            F, F2 = right(lam, ctx)
+            return F, F2 * (1 + ctx.real("1e-12"))
+
+        monkeypatch.setattr(legendre, "legendre_F_F2", wrong)
+        ctx = PrecisionCtx(48)
+        res1, _ = bruns_residuals(ctx.real(num) / 100, ctx)
+        assert res1 > ctx.real("1e-15")
 
     def test_singular_rejected(self, ctx50):
         with pytest.raises(ValueError):
