@@ -50,6 +50,7 @@ from .modular import (
     delta_tau,
     delta_tau_eisenstein,
     eisenstein,
+    eisenstein_all,
     eta,
     lambda_q_coeffs,
     lambda_tau,

@@ -17,6 +17,7 @@ report object per line; --seed (selftest only) seeds the randomized checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,7 +57,9 @@ _EVAL_FNS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="hyperpi", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -162,9 +165,30 @@ class UsageError(Exception):
     pass
 
 
+_POINT_OPTIONS = ("--tau", "--lambda")
+
+
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """--tau V / --lambda V as --tau=V / --lambda=V, so that a point starting
+    with '-' (-0.5+1i) is read as the option's value, not as an option.  An
+    option with no value after it, or with another option after it, stays
+    as it is and argparse reports it."""
+    out = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token in _POINT_OPTIONS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else list(argv)))
     if args.digits < 1:
         parser.exit(2, "error: --digits must be a positive integer\n")
     runners = {

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, agm
+from .numerics import PrecisionCtx, agm, fixed_point
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
@@ -68,20 +68,6 @@ def _as_scalar(z, ctx: PrecisionCtx):
         zc = ctx.complex(z)
         return zc.real if zc.imag == 0 else zc
     return ctx.real(z)
-
-
-def _fixed(z):
-    """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
-    for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction."""
-    if isinstance(z, Fraction):
-        den = z.denominator
-        s = (den & -den).bit_length() - 1
-        return z.numerator, 0, s, den >> s
-    parts = [x._mpf_ for x in (z.real, z.imag)]
-    # mpmath's zero is (0, 0, 0, 0): only nonzero parts set the exponent
-    s = max([-exp for _, man, exp, _ in parts if man] + [0])
-    re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
-    return re, im, s, 1
 
 
 def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
@@ -168,7 +154,7 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    zr, zi, s, d = _fixed(z)
+    zr, zi, s, d = fixed_point(z)
     norm = zr * zr + zi * zi
     n, bits = _plan(p, math.log(norm) / 2 - s * math.log(2) - math.log(d) if norm else -math.inf, ctx)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))

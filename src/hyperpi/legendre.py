@@ -31,10 +31,9 @@ from .modular import (
     TauPoint,
     delta_tau,
     eta,
-    g2_tau,
-    g3_tau,
     lambda_tau,
     lambda_tau_reduced,
+    weierstrass_g2_g3,
 )
 from .numerics import PrecisionCtx, agm_sums, format_value, pi_reference
 from .reports import FormulaReport, make_report
@@ -189,7 +188,8 @@ def _homothety_mu(t: TauPoint, lam, ctx: PrecisionCtx):
         )
     curve = weierstrass_from_lambda(lam)
     ratio = curve.g2 / curve.g3  # = 9(l^2-l+1)/((l+1)(2l-1)(l-2))
-    mu_sqrt = mp.sqrt(ratio * g3_tau(t, ctx) / g2_tau(t, ctx))
+    g2, g3 = weierstrass_g2_g3(t, ctx)
+    mu_sqrt = mp.sqrt(ratio * g3 / g2)
 
     delta = delta_tau(t, ctx)
     delta_12 = delta ** (mp.mpf(1) / 12)

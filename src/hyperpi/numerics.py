@@ -1,4 +1,5 @@
-"""Precision contexts, decimal I/O, and the AGM / reference-pi oracles.
+"""Precision contexts, decimal I/O, the exact fixed-point form of a number,
+and the AGM / reference-pi oracles.
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 rounds at its working precision (target digits + guard digits).  The
@@ -161,6 +162,26 @@ def truncated_digits(x, n: int) -> str:
     if len(s) != n:
         raise ValueError(f"needs {n} significant digits, got {len(s)}")
     return s if n == 1 else s[0] + "." + s[1:]
+
+
+# ---------------------------------------------------------------------------
+# Fixed point
+# ---------------------------------------------------------------------------
+
+def fixed_point(z):
+    """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
+    for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  The
+    fixed-point kernels (the 2F1 series and the Lambert series) read their
+    argument through this one converter."""
+    if isinstance(z, Fraction):
+        den = z.denominator
+        s = (den & -den).bit_length() - 1
+        return z.numerator, 0, s, den >> s
+    parts = [x._mpf_ for x in (z.real, z.imag)]
+    # mpmath's zero is (0, 0, 0, 0): only nonzero parts set the exponent
+    s = max([-exp for _, man, exp, _ in parts if man] + [0])
+    re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
+    return re, im, s, 1
 
 
 # ---------------------------------------------------------------------------

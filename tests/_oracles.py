@@ -93,6 +93,30 @@ def eta_product(t, ctx):
     return prefactor * prod
 
 
+def _settled(value_at, digits, floor, tau):
+    """value_at(extra), a jtheta value at tau computed with `extra` digits
+    beyond `digits`, with 40 and 80 extra digits, then doubling the extra
+    digits until two successive values agree to 10^-(digits+10) times
+    max(floor, |value|)."""
+    extra = 40
+    value = value_at(extra)
+    for _ in range(6):
+        extra *= 2
+        better = value_at(extra)
+        with mpmath.workdps(digits + extra):
+            if abs(better - value) <= mpmath.mpf(10) ** -(digits + 10) * max(floor, abs(better)):
+                return better
+        value = better
+    raise AssertionError(f"jtheta did not settle at tau = {tau} with {extra} extra digits")
+
+
+def _theta_fourth_powers(tau):
+    """(theta2^4, theta3^4, theta4^4) at the nome e^(i pi tau), from
+    mpmath.jtheta at the current precision."""
+    nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+    return tuple(mpmath.jtheta(k, 0, nome) ** 4 for k in (2, 3, 4))
+
+
 def lambda_theta_quotient(tau, digits):
     """lambda(tau) = theta2^4 / theta3^4 from mpmath.jtheta, to 10^-(digits+10)
     relative.
@@ -104,19 +128,53 @@ def lambda_theta_quotient(tau, digits):
     """
     def quotient(extra):
         with mpmath.workdps(digits + extra):
-            nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
-            return (mpmath.jtheta(2, 0, nome) / mpmath.jtheta(3, 0, nome)) ** 4
+            t2, t3, _ = _theta_fourth_powers(tau)
+            return t2 / t3
 
-    extra = 40
-    value = quotient(extra)
-    for _ in range(6):
-        extra *= 2
-        better = quotient(extra)
+    return _settled(quotient, digits, 0, tau)
+
+
+def eisenstein_theta_forms(tau, digits):
+    """(E4, E6) at tau from theta functions, to 10^-(digits+10) times
+    max(1, |E_k|), with the precision doubling of lambda_theta_quotient:
+
+        E4 = (theta2^8 + theta3^8 + theta4^8) / 2,
+        E6 = (theta2^4 + theta3^4)(theta3^4 + theta4^4)(theta4^4 - theta2^4) / 2.
+    """
+    def e4(extra):
         with mpmath.workdps(digits + extra):
-            if abs(better - value) <= mpmath.mpf(10) ** -(digits + 10) * abs(better):
-                return better
-        value = better
-    raise AssertionError(f"jtheta did not settle at tau = {tau} with {extra} extra digits")
+            t2, t3, t4 = _theta_fourth_powers(tau)
+            return (t2 * t2 + t3 * t3 + t4 * t4) / 2
+
+    def e6(extra):
+        with mpmath.workdps(digits + extra):
+            t2, t3, t4 = _theta_fourth_powers(tau)
+            return (t2 + t3) * (t3 + t4) * (t4 - t2) / 2
+
+    return _settled(e4, digits, 1, tau), _settled(e6, digits, 1, tau)
+
+
+def e2_divisor_sum(tau, digits):
+    """E2(tau) = 1 - 24 sum_n sigma_1(n) q^n, q = e^(2 pi i tau), at 20 digits
+    beyond `digits`, for Im(tau) >= 1/4.
+
+    The divisor sums come from a sieve, not from the Lambert form that
+    hyperpi sums.  With |q| <= e^(-pi/2) and sigma_1(n) <= n^2, stopping at
+    n_max = (digits + 30) ln 10 / ln(1/|q|) + 100 leaves a tail below
+    10^-(digits+60).
+    """
+    with mpmath.workdps(digits + 20):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
+        n_max = int((digits + 30) * mpmath.log(10) / -mpmath.log(abs(q))) + 100
+        sigma = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for m in range(d, n_max + 1, d):
+                sigma[m] += d
+        total, qn = mpmath.mpc(0), mpmath.mpc(1)
+        for s in sigma[1:]:
+            qn *= q
+            total += s * qn
+        return 1 - 24 * total
 
 
 def central_difference(f, z, h):

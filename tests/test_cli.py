@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import hyperpi
 from hyperpi import cli, ctx_new, parse_complex, pi_reference_digits
 from hyperpi.cli import _EVAL_FNS, main
 from hyperpi.suite import agm_oracle_reports, functional_equation_reports
@@ -75,6 +80,19 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--fn", "eta", "--tau=-0.5+1i", "--digits", "20")
         assert code == 0
         assert out.strip()
+
+    @pytest.mark.parametrize("fn,option,point", [("eta", "tau", "-0.5+1i"), ("F", "lambda", "-0.3+0.1i")])
+    def test_negative_point_as_two_tokens(self, capsys, fn, option, point):
+        code, out, _ = run(capsys, "eval", "--fn", fn, f"--{option}", point, "--digits", "20")
+        assert code == 0
+        assert (code, out) == run(capsys, "eval", "--fn", fn, f"--{option}={point}", "--digits", "20")[:2]
+
+    @pytest.mark.parametrize("argv", [["--fn", "eta", "--tau"], ["--fn", "F", "--lambda", "--digits", "20"]])
+    def test_missing_point_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *argv])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_bad_tau_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "eta", "--tau", "nonsense")
@@ -169,6 +187,32 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--digits", "0"])
         assert exc.value.code == 2
+
+
+class TestOneProcess:
+    def test_calls_in_one_process_match_separate_runs(self, capsys, monkeypatch):
+        # main builds its parser once per process, so a usage error must not
+        # change what later calls print or return
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+        calls = [["eval", "--fn", "eta", "--tau"],
+                 ["eval", "--fn", "e4", "--tau", "-0.5+1i", "--digits", "20"],
+                 ["selftest", "--digits", "10"]]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperpi.__file__).resolve().parent.parent))
+        separate = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "hyperpi.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in in_process] == [2, 0, 0]
+        assert in_process == separate
 
 
 class TestPi:

@@ -11,6 +11,7 @@ from hyperpi import (
     delta_tau,
     delta_tau_eisenstein,
     eisenstein,
+    eisenstein_all,
     eta,
     lambda_q_coeffs,
     lambda_tau,
@@ -23,9 +24,17 @@ from hyperpi import (
     s2_bracket,
     tau_point,
 )
-from hyperpi.modular import _lambda_x_series
+from hyperpi.modular import _lambda_x_series, _lambert_count
 
-from _oracles import ETA_I, LAM_2I, LAMBDA_X_COEFFS, eta_product, lambda_theta_quotient
+from _oracles import (
+    ETA_I,
+    LAM_2I,
+    LAMBDA_X_COEFFS,
+    e2_divisor_sum,
+    eisenstein_theta_forms,
+    eta_product,
+    lambda_theta_quotient,
+)
 
 
 def _mpc(ctx, re, im):
@@ -112,6 +121,90 @@ class TestEisenstein:
     def test_bad_weight_rejected(self, ctx50):
         with pytest.raises(ValueError):
             eisenstein(8, tau_point(_mpc(ctx50, 0, 1), ctx50), ctx50)
+
+
+# Im tau = 1/4 is the edge of the direct domain, where |q| = e^(-pi/2) and the
+# Lambert pass is longest; Re tau = 0 and 1 give a real q.
+EISENSTEIN_POINTS = [(0, "0.25"), (1, "0.25"), ("0.3", "0.25"), ("-0.5", "0.25"), (0, 1),
+                     (1, "1.5"), ("-0.7", "1.3"), ("0.123", 2)]
+
+
+def _assert_matches(value, expected, ctx):
+    # q = e^(2 pi i tau) is rounded at working precision before the sum, which
+    # moves E_k by a few eps at Im tau = 1/4; 1000 eps leaves room for that
+    with mpmath.workdps(2 * ctx.working_digits):
+        error = abs(mpmath.mpc(value) - expected)
+        assert error <= mpmath.mpf(10) ** (3 - ctx.working_digits) * max(1, abs(expected))
+
+
+class TestEisensteinKernel:
+    """The fixed-point Lambert pass of eisenstein_all at 300 digits against
+    oracles outside it, and its stated tail bound."""
+
+    @pytest.mark.parametrize("tau", EISENSTEIN_POINTS)
+    def test_e4_e6_against_theta_forms(self, tau):
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        e4, e6 = eisenstein_theta_forms(t.tau, 300)
+        _assert_matches(eisenstein(4, t, ctx), e4, ctx)
+        _assert_matches(eisenstein(6, t, ctx), e6, ctx)
+
+    @pytest.mark.parametrize("tau", EISENSTEIN_POINTS)
+    def test_e2_against_divisor_sum(self, tau):
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        _assert_matches(eisenstein(2, t, ctx), e2_divisor_sum(t.tau, 300), ctx)
+
+    @pytest.mark.parametrize("re", [0, 1, -1])
+    def test_real_nome_gives_real_values(self, re):
+        ctx = ctx_new(300)
+        for value in eisenstein_all(tau_point(_mpc(ctx, re, "0.25"), ctx), ctx):
+            assert isinstance(value, ctx.mp.mpf)
+
+    def test_generic_nome_gives_complex_values(self):
+        ctx = ctx_new(300)
+        for value in eisenstein_all(tau_point(_mpc(ctx, "0.3", "0.25"), ctx), ctx):
+            assert isinstance(value, ctx.mp.mpc) and value.imag != 0
+
+    @pytest.mark.parametrize("re", [0, "0.3"])
+    def test_nome_below_float_range(self, ctx50, re):
+        # |q| = e^(-2 pi 10^400): its exponent does not fit a float
+        t = tau_point(_mpc(ctx50, re, "1e400"), ctx50)
+        for value in eisenstein_all(t, ctx50):
+            assert abs(value - 1) < ctx50.tail_tol
+
+    @pytest.mark.parametrize("digits", [30, 300])
+    @pytest.mark.parametrize("im", ["0.25", "0.6", "2"])
+    def test_stated_tail_bound_covers_true_tail(self, digits, im):
+        # the bound (N+1)^(k-1) r^(N+1) / ((1-r)(1-rho)) against
+        # sum_(n>N) n^(k-1) |q^n / (1 - q^n)|, both at twice the precision
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, "0.3", im), ctx)
+        with mpmath.workdps(2 * ctx.working_digits):
+            q = mpmath.mpc(t.q)
+            r = abs(q)
+            n_last = _lambert_count(float(mpmath.log(r)), ctx)
+            assert n_last >= 5 / -mpmath.log(r)
+            for k, c in ((2, -24), (4, 240), (6, -504)):
+                rho = mpmath.mpf(n_last + 2) ** (k - 1) / mpmath.mpf(n_last + 1) ** (k - 1) * r
+                assert rho < 1
+                bound = mpmath.mpf(n_last + 1) ** (k - 1) * r ** (n_last + 1) / ((1 - r) * (1 - rho))
+                assert abs(c) * bound <= mpmath.mpf(10) ** -(ctx.working_digits + 5) / 2
+                tail, n, qn = mpmath.mpf(0), n_last + 1, q ** (n_last + 1)
+                while True:
+                    term = n ** (k - 1) * abs(qn / (1 - qn))
+                    tail += term
+                    if term < tail * mpmath.eps:
+                        break
+                    n, qn = n + 1, qn * q
+                assert tail <= bound
+
+    @pytest.mark.parametrize("tau", [(0, 2), ("0.3", "0.25"), ("-0.7", "1.3"), (1, "0.8")])
+    def test_s2_bitwise_equals_its_parts(self, tau):
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        parts = eisenstein(4, t, ctx) / eisenstein(6, t, ctx) * s2_bracket(t, ctx)
+        assert s2(t, ctx) == parts
 
 
 class TestDelta:
