@@ -1,22 +1,25 @@
-"""Per-call time and term count of the Eisenstein series E2/E4/E6, before and after.
+"""Per-call time and term counts of the public q-series functions, before and after.
 
     python3 bench/qseries_kernel.py --before OLD/src --after src \
-        --digits 100 300 1000 --repeats 5 > BENCH_qseries.json
+        --digits 300 --repeats 5 > BENCH_qseries.json
 
 For each tree, each repeat runs one fresh interpreter that imports hyperpi
-from that tree and, at every working precision, every tau and every weight
-k in {2, 4, 6}, makes one warm-up call, then times --calls calls of
-`eisenstein(k, t, ctx)` on a TauPoint built outside the timed region.  The
-points are tau = Re + i Im for Im in {1/4, 1, 2}, the edge of the direct
-domain and two points inside it, with a real nome (Re = 0) and a complex
-one (Re = 0.3).  The two trees alternate, and which one goes first
-alternates with the repeat.  The median is over all timed calls.
+from that tree and, at every working precision, every tau and every function
+(eta, E2, E4, E6 and lambda), makes one warm-up call, then times --calls
+calls on a TauPoint built outside the timed region.  The points are
+tau = Re + i Im for Im in {0.05, 1/4, 1} and Re in {0, 0.3}: below, at and
+above the old Im(tau) >= 1/4 floor of eta and E_k, with a real nome (Re = 0)
+and a complex one (Re = 0.3).  A call that raises ValueError is "refused".
+For lambda the tree's `lambda_tau_reduced` is timed where it has one.  The
+two trees alternate, and which one goes first alternates with the repeat.
+The median is over all timed calls.
 
-The counts do not depend on the hardware: `terms` is the last n of the
-Lambert sum sum_n n^(k-1) q^n / (1 - q^n).  A tree with
-`modular._lambert_count` fixes it before the loop, one count for all three
-weights; for an older tree it is the last n of its loop, which stopped at the
-first n with n^(k-1) |q|^n < tail_tol (1 - |q|).
+The counts do not depend on the hardware, and come from the warm-up call:
+`lambert_n` is the last n of the Lambert sum sum_n n^(k-1) q^n / (1 - q^n)
+(what `modular._lambert_count` returned), and `pentagonal_n` the last n of
+the largest pentagonal sum P(y) = sum_n (-1)^n y^(n(3n-1)/2) + ... that
+`modular._euler` summed, from its stopping rule; null where the function sums
+no such series.
 """
 
 from __future__ import annotations
@@ -32,22 +35,33 @@ import sys
 import mpmath.libmp
 
 CHILD = """
-import json, sys, time
+import json, math, sys, time
 sys.path.insert(0, sys.argv[1])
 from hyperpi import modular
-from hyperpi.modular import eisenstein, tau_point
+from hyperpi.modular import tau_point
 from hyperpi.numerics import ctx_new
 
+FNS = {
+    "eta": lambda t, ctx: modular.eta(t, ctx),
+    "E2": lambda t, ctx: modular.eisenstein(2, t, ctx),
+    "E4": lambda t, ctx: modular.eisenstein(4, t, ctx),
+    "E6": lambda t, ctx: modular.eisenstein(6, t, ctx),
+    "lambda": getattr(modular, "lambda_tau_reduced", modular.lambda_tau),
+}
+counts = {}
+euler, lambert_count = modular._euler, modular._lambert_count
 
-def terms(k, t, ctx):
-    if hasattr(modular, "_lambert_count"):
-        return modular._lambert_count(float(ctx.mp.log(abs(t.q))), ctx)
-    aq = abs(t.q)
-    tol = ctx.tail_tol * (1 - aq)
-    n = 1
-    while n ** (k - 1) * aq**n >= tol:
-        n += 1
-    return n
+
+def counted_euler(y, ctx):
+    ratio = float(ctx.mp.log(ctx.tail_tol) / ctx.mp.log(abs(y)))
+    n = math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 1 if ratio >= 1 else 0
+    counts["pentagonal_n"] = max(counts.get("pentagonal_n", 0), n)
+    return euler(y, ctx)
+
+
+def counted_lambert_count(log_r, ctx):
+    counts["lambert_n"] = lambert_count(log_r, ctx)
+    return counts["lambert_n"]
 
 
 calls = int(sys.argv[2])
@@ -57,18 +71,27 @@ for digits in json.loads(sys.argv[3]):
     for tau_text in json.loads(sys.argv[4]):
         re, im = tau_text[:-1].split("+")
         t = tau_point(ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im)), ctx)
-        for k in (2, 4, 6):
-            eisenstein(k, t, ctx)
+        for name, fn in FNS.items():
+            counts.clear()
+            modular._euler, modular._lambert_count = counted_euler, counted_lambert_count
+            try:
+                fn(t, ctx)
+            except ValueError:
+                out[f"{digits} {tau_text} {name}"] = "refused"
+                continue
+            finally:
+                modular._euler, modular._lambert_count = euler, lambert_count
             times = []
             for _ in range(calls):
                 start = time.perf_counter()
-                eisenstein(k, t, ctx)
+                fn(t, ctx)
                 times.append(time.perf_counter() - start)
-            out[f"{digits} {tau_text} E{k}"] = {"times": times, "terms": terms(k, t, ctx)}
+            out[f"{digits} {tau_text} {name}"] = {"times": times, "lambert_n": counts.get("lambert_n"),
+                                                  "pentagonal_n": counts.get("pentagonal_n")}
 print(json.dumps(out))
 """
 
-POINTS = tuple(f"{re}+{im}i" for re in ("0", "0.3") for im in ("0.25", "1", "2"))
+POINTS = tuple(f"{re}+{im}i" for re in ("0", "0.3") for im in ("0.05", "0.25", "1"))
 
 
 def run_tree(src: str, calls: int, digits: list[int]) -> dict:
@@ -79,11 +102,20 @@ def run_tree(src: str, calls: int, digits: list[int]) -> dict:
     return json.loads(proc.stdout)
 
 
+def summary(side_runs: list[dict], key: str):
+    if side_runs[0][key] == "refused":
+        return "refused"
+    times = [t for run in side_runs for t in run[key]["times"]]
+    first = side_runs[0][key]
+    return {"median_ms": round(1e3 * statistics.median(times), 3),
+            "lambert_n": first["lambert_n"], "pentagonal_n": first["pentagonal_n"]}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="src directory of the old tree")
     ap.add_argument("--after", required=True, help="src directory of the new tree")
-    ap.add_argument("--digits", type=int, nargs="+", default=[100, 300, 1000])
+    ap.add_argument("--digits", type=int, nargs="+", default=[300])
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--calls", type=int, default=3, help="timed calls per case and repeat")
     args = ap.parse_args()
@@ -96,18 +128,14 @@ def main() -> None:
 
     cases = {}
     for key in runs["after"][0]:
-        entry = {}
-        for side, side_runs in runs.items():
-            times = [t for run in side_runs for t in run[key]["times"]]
-            entry[side] = {
-                "median_ms": round(1e3 * statistics.median(times), 3),
-                "terms": side_runs[0][key]["terms"],
-            }
-        entry["speedup"] = round(entry["before"]["median_ms"] / entry["after"]["median_ms"], 1)
+        entry = {side: summary(side_runs, key) for side, side_runs in runs.items()}
+        timed = all(isinstance(entry[side], dict) for side in runs)
+        entry["speedup"] = round(entry["before"]["median_ms"] / entry["after"]["median_ms"], 1) if timed else None
         cases[key] = entry
     report = {
-        "what": "median wall time of one eisenstein(k, t, ctx) call, keyed 'digits tau Ek', "
-                "and the last n of its Lambert sum, before and after",
+        "what": "median wall time of one public call (eta, eisenstein(k), lambda), keyed 'digits tau fn', "
+                "and the last n of its Lambert and pentagonal sums, before and after; 'refused' where the "
+                "call raises ValueError",
         "command": "python3 bench/qseries_kernel.py " + " ".join(sys.argv[1:]),
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND},

@@ -54,7 +54,6 @@ from .modular import (
     eta,
     lambda_q_coeffs,
     lambda_tau,
-    lambda_tau_reduced,
     reduce_tau,
     s2,
     s2_bracket,

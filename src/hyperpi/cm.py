@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .hypergeometric import legendre_F_F2
 from .legendre import quasiperiod_bruns
-from .modular import TauPoint, lambda_tau_reduced, s2_bracket, tau_point
+from .modular import TauPoint, lambda_tau, s2_bracket, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference, truncated_digits
 from .reports import FormulaReport, make_report
 
@@ -85,7 +85,7 @@ def _cm_point(q: CMQuadratic, ctx: PrecisionCtx):
     """(tau, lambda(tau), PeriodPair at lambda, combined s2 term) at the CM
     point of q; the pair carries F(lambda) and F2(lambda)."""
     t = cm_tau(q, ctx)
-    lam = lambda_tau_reduced(t, ctx)
+    lam = lambda_tau(t, ctx)
     pair = quasiperiod_bruns(lam, ctx)
     return t, lam, pair, combined_s2_term(t, pair.F, ctx)
 

@@ -32,7 +32,6 @@ from .modular import (
     delta_tau,
     eta,
     lambda_tau,
-    lambda_tau_reduced,
     weierstrass_g2_g3,
 )
 from .numerics import PrecisionCtx, agm_sums, format_value, pi_reference
@@ -258,7 +257,7 @@ def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -
 
 def check_theorem_transform(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     """Around 0: omega1 = 2^(1/3) (pi i / tau) (l(1-l))^(1/6) disc^(-1/12) F(1-l)."""
-    lam = lambda_tau_reduced(t, ctx)
+    lam = lambda_tau(t, ctx)
     flags = [] if _real_in_unit_interval(lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
     lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), t.tau, 1 - lam, ctx)
     return make_report(f"transform-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
@@ -274,7 +273,7 @@ def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     instead of asserting a branch choice.
     """
     mp = ctx.mp
-    lam = lambda_tau_reduced(t, ctx)
+    lam = lambda_tau(t, ctx)
     flags = []
     if _near_negative_cut(lam * (1 - lam), ctx):
         flags.append("lambda(1-lambda) on the negative real cut: principal branch is a convention")

@@ -1,18 +1,18 @@
-"""q-series engines: Dedekind eta, Eisenstein E2/E4/E6, the modular lambda
-function, and upper-half-plane reduction.
+"""q-series engines: Dedekind eta, Eisenstein E2/E4/E6, the discriminant and
+the modular lambda function, at any tau in the upper half-plane.
 
-eta, Delta and lambda all sum one pentagonal series P(y) = prod (1 - y^m);
-lambda needs only x = q^(1/2) = e^(pi i tau) (Borwein & Borwein 1987, ch. 4):
+Each public function of tau reduces tau exactly to tau0 in the fundamental
+domain (reduce_tau), where Im tau0 >= sqrt(3)/2 and |q| < 0.0044, sums its
+series there and maps the value back along tau = (a tau0 + b)/(c tau0 + d) by
+the transformation laws in its docstring (Apostol, Modular Functions and
+Dirichlet Series, ch. 1 and 3).  eta, Delta and lambda sum one pentagonal
+series P(y) = prod (1 - y^m), lambda at x = q^(1/2) (Borwein & Borwein 1987,
+ch. 4):
 
     lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x - 128 x^2 + 704 x^3 - ...
 
-E2, E4 and E6 come together from one pass over the Lambert series
-sum n^(k-1) q^n / (1 - q^n), summed in fixed-point integers with a stated
-tail bound (eisenstein_all).
-
-Direct evaluation needs Im(tau) >= 1/4 for eta and E_k and Im(tau) >= 1/2
-for lambda, so that |q|, resp. |x|, is at most e^(-pi/2); below that,
-lambda_tau_reduced reaches the point through S and T moves.
+E2, E4 and E6 come together from one fixed-point pass over the Lambert series
+sum n^(k-1) q^n / (1 - q^n) with a stated tail bound.
 """
 
 from __future__ import annotations
@@ -20,23 +20,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, fixed_point, pi_reference
-
-MIN_IM_QSERIES = 0.25
-MIN_IM_LAMBDA = 0.5
+from .numerics import PrecisionCtx, ctx_new, fixed_point, pi_reference
 
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A point in the upper half-plane with its nome q and x = q^(1/2).
-
-    q and x are computed once at context precision; when Re(tau) is an exact
-    integer both are real, which keeps every downstream q-series real on the
-    imaginary axis.
-    """
+    """A point in the upper half-plane with its nome q and x = q^(1/2),
+    computed once (_point); both are real when Re(tau) is an exact integer,
+    which keeps every downstream q-series real on the imaginary axis."""
 
     tau: object
     q: object
@@ -45,25 +38,100 @@ class TauPoint:
 
 
 def tau_point(tau, ctx: PrecisionCtx) -> TauPoint:
-    mp = ctx.mp
     tau = ctx.complex(tau)
-    im = tau.imag
-    if im <= 0:
+    if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    re = tau.real
-    pi = pi_reference(ctx)
-    if re == int(re):
-        x = mp.exp(-pi * im)
-        if int(re) % 2:
-            x = -x
+    re, im, s, _ = fixed_point(tau)
+    return _point(re, im, 1 << s, ctx)
+
+
+def _point(re: int, im: int, den: int, ctx: PrecisionCtx) -> TauPoint:
+    """The TauPoint of tau = (re + i im)/den, given exactly: x = e^(pi i tau)
+    takes Re(tau) mod 2 exactly and forms pi Im(tau) with the digits of Im(tau)
+    added to the working precision, so that it keeps its relative precision
+    however large tau is."""
+    mp = ctx.mp
+    tau = mp.mpc(mp.mpf(re) / den, mp.mpf(im) / den)
+    r = re % (2 * den)
+    wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
+    x = wide.mp.exp(wide.mp.mpc(0, pi_reference(wide)) * wide.mp.mpc(r, im) / den)
+    x = ctx.real(x.real) if r % den == 0 else ctx.complex(x)
+    return TauPoint(tau=tau, q=x * x, x=x, im=tau.imag)
+
+
+def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
+    """value at the precision of ctx; an mpf where the nome of t is real, as
+    E_k and Delta are there."""
+    value = ctx.complex(value)
+    return value if hasattr(t.q, "_mpc_") else value.real
+
+
+@dataclass(frozen=True)
+class TransformWord:
+    """Runs (letter, count) that map the reduced point back to the original
+    one, first run first: ("T", m) is tau -> tau + m for an integer m, and
+    ("S", n) is tau -> -1/tau applied n times."""
+
+    letters: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        for letter, count in self.letters:
+            if letter not in ("T", "S") or not isinstance(count, int):
+                raise ValueError(f"not a run: {(letter, count)!r}")
+
+    def apply_to_tau(self, tau):
+        a, b, c, d = self.matrix()
+        return (a * tau + b) / (c * tau + d)
+
+    def apply_to_lambda(self, lam):
+        # Carry the pair (x, 1-x): S swaps it, and T^m acts as x -> x/(x-1),
+        # i.e. (x, y) -> (-x/y, 1/y).  Both are involutions on lambda, so a run
+        # acts once when its length is odd.  No step subtracts nearly equal
+        # numbers, so lambda keeps its relative precision near the cusps.
+        x, y = lam, 1 - lam
+        for letter, count in self.letters:
+            if count % 2:
+                x, y = (-x / y, 1 / y) if letter == "T" else (y, x)
+        return x
+
+    def matrix(self):
+        """(a, b, c, d) with ad - bc = 1 and word(tau) = (a tau + b)/(c tau + d)."""
+        a, b, c, d = 1, 0, 0, 1
+        for letter, count in self.letters:
+            if letter == "T":
+                a, b = a + count * c, b + count * d
+            elif count % 2:
+                a, b, c, d = -c, -d, a, b
+        return a, b, c, d
+
+
+def reduce_tau(t: TauPoint, ctx: PrecisionCtx, max_steps: int = 1000):
+    """(TauPoint at tau0, TransformWord) with |Re tau0| <= 1/2, |tau0| >= 1 and
+    word(tau0) = tau, by shifts to the nearest integer and inversions (t
+    itself and the empty word if tau is reduced).  With tau = (re + i im)/2^s,
+    the point is A/C, A = a (re + i im) + b 2^s, C = c (re + i im) + d 2^s,
+    ad - bc = 1, so no step rounds and a shift of any size is one run.  More
+    than max_steps inversions raise ReductionError; as each inversion from
+    Im <= 1/2 at least doubles Im, the default cap holds above Im tau = 1e-300."""
+    re, im, s, _ = fixed_point(t.tau)
+    ar, ai, cr, ci = re, im, 1 << s, 0  # A = ar + i ai, C = cr + i ci
+    runs = []  # the inverse of each move
+    for _ in range(max_steps + 1):
+        norm = cr * cr + ci * ci
+        shift = (2 * (ar * cr + ai * ci) + norm) // (2 * norm)  # nearest integer to Re(A/C)
+        if shift:
+            ar, ai = ar - shift * cr, ai - shift * ci
+            runs.append(("T", shift))
+        if ar * ar + ai * ai >= norm:
+            break
+        ar, ai, cr, ci = -cr, -ci, ar, ai  # A/C -> -C/A
+        runs.append(("S", 1))
     else:
-        x = mp.exp(mp.mpc(0, 1) * pi * tau)
-    return TauPoint(tau=tau, q=x * x, x=x, im=im)
-
-
-def _require_im(t: TauPoint, minimum: float, what: str):
-    if t.im < minimum:
-        raise ValueError(f"{what} needs Im(tau) >= {minimum}, got {t.im}")
+        raise ReductionError(f"reduction to the fundamental domain took more than {max_steps} inversions")
+    if not runs:
+        return t, TransformWord(())
+    # tau0 = (A conj C)/|C|^2, and Im(A conj C) = (ad - bc) im 2^s
+    return _point(ar * cr + ai * ci, ai * cr - ar * ci, norm, ctx), TransformWord(tuple(reversed(runs)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +142,12 @@ def _euler(y, ctx: PrecisionCtx):
     """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2) over
     |n| <= N, the first n with n(3n-1)/2 > log(tail_tol) / log|y|, so that
     |y|^(N(3N-1)/2) < tail_tol.  Later exponents start at (N+1)(3N+2)/2 and
-    rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|)."""
+    rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|).
+    Exactly 1 when |y| < tail_tol, where even the first term is below it."""
     mp = ctx.mp
     ratio = float(mp.log(ctx.tail_tol) / mp.log(abs(y)))
+    if ratio < 1:
+        return mp.mpf(1)
     total = mp.mpf(1)
     for n in range(1, math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 2):
         term = y ** (n * (3 * n - 1) // 2) + y ** (n * (3 * n + 1) // 2)
@@ -84,16 +155,32 @@ def _euler(y, ctx: PrecisionCtx):
     return total
 
 
-def eta(t: TauPoint, ctx: PrecisionCtx):
-    """eta(tau) = q^(1/24) P(q).
-
-    The prefactor is e^(2 pi i tau / 24) evaluated directly, so there is no
-    24th-root branch choice; at Re(tau) = 0 its imaginary part is exactly 0.
-    """
-    _require_im(t, MIN_IM_QSERIES, "eta")
+def _eta_series(t: TauPoint, ctx: PrecisionCtx):
+    """eta(tau) = q^(1/24) P(q) summed at tau itself, |Re(tau)| small, with
+    q^(1/24) = e^(pi i Re(tau)/12) |x|^(1/12): the modulus keeps the relative
+    precision of x, and the value is real at Re(tau) = 0."""
     mp = ctx.mp
-    prefactor = mp.exp(mp.mpc(0, 1) * pi_reference(ctx) * t.tau / 12)
+    prefactor = mp.root(abs(t.x), 12)
+    if t.tau.real:
+        prefactor *= mp.expjpi(t.tau.real / 12)
     return prefactor * _euler(t.q, ctx)
+
+
+def eta(t: TauPoint, ctx: PrecisionCtx):
+    """eta at any tau: the series at tau0, then the word run by run by
+    eta(w + m) = e^(pi i m/12) eta(w) (m mod 24) and the principal
+    eta(-1/w) = sqrt(-i w) eta(w), w the current point."""
+    mp = ctx.mp
+    reduced, word = reduce_tau(t, ctx)
+    value, w = _eta_series(reduced, ctx), reduced.tau
+    for letter, count in word.letters:
+        if letter == "T":
+            value *= mp.expjpi(mp.mpf(count % 24) / 12)
+            w += count
+        elif count % 2:
+            value *= mp.sqrt(mp.mpc(0, -1) * w)
+            w = -1 / w
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +217,15 @@ def _lambert_count(log_r: float, ctx: PrecisionCtx) -> int:
     return bisect.bisect_left(range(high + 1), True, low, key=below_limit)
 
 
-def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
-    """(E2, E4, E6) at tau from one pass over the Lambert series
+def _eisenstein_series(t: TauPoint, ctx: PrecisionCtx):
+    """(E2, E4, E6) summed at tau itself in one pass over the Lambert series
 
         E_k = 1 + c_k S_k,  S_k = sum_(n=1..N) n^(k-1) q^n / (1 - q^n),  (c_2, c_4, c_6) = (-24, 240, -504),
 
     summed in fixed-point integers with `bits` fractional bits.  N is fixed
     before the loop (_lambert_count), so that the tail past N is within
-    tail_tol / 2 for every k.  All three are mpfs when q is real (integer
-    Re(tau)), whose pass skips the imaginary products, and mpcs otherwise.
+    tail_tol / 2 for every k.  A real q (integer Re(tau)) skips the
+    imaginary products.
 
     q is rounded once, to q~, and q~^n is carried by one integer product per
     term.  Each term q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2 takes
@@ -157,7 +244,6 @@ def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
     keeps below tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded
     once to working precision.
     """
-    _require_im(t, MIN_IM_QSERIES, "eisenstein")
     qr, qi, s, _ = fixed_point(t.q)
     # s >= 2^1000 would overflow a float; such a q rounds to 0 or -u anyway,
     # and capping s only raises r, which keeps every bound an upper bound
@@ -194,22 +280,36 @@ def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
     def rounded(x):
         return mp.ldexp(mp.mpf(x), -bits)
 
-    values = []
-    for i, c in enumerate(_EISENSTEIN.values()):
-        re, im = rounded(one + c * sums[2 * i]), rounded(c * sums[2 * i + 1])
-        values.append(mp.mpc(re, im) if hasattr(t.q, "_mpc_") else re)
-    return tuple(values)
+    return tuple(mp.mpc(rounded(one + c * sums[2 * i]), rounded(c * sums[2 * i + 1]))
+                 for i, c in enumerate(_EISENSTEIN.values()))
+
+
+def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
+    """(E2, E4, E6) at any tau from one Lambert pass at tau0, times (c tau0 + d)^k,
+    plus 6c (c tau0 + d)/(pi i) for E2: mpfs when q is real (integer Re(tau)),
+    mpcs otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
+    more, all three are computed again with the working precision grown by
+    the digits lost, so E2 keeps working precision relative to max(1, |E2|)."""
+    wide = ctx
+    while True:
+        mp = wide.mp
+        reduced, word = reduce_tau(t, wide)
+        e2, e4, e6 = _eisenstein_series(reduced, wide)
+        _, _, c, d = word.matrix()
+        if not c:  # d = +-1: E_k(tau) = E_k(tau0)
+            return tuple(_rounded(v, t, ctx) for v in (e2, e4, e6))
+        j = c * reduced.tau + d
+        j2 = j * j
+        head, tail = j2 * e2, 6 * c * j / (mp.mpc(0, 1) * pi_reference(wide))
+        e2 = head + tail
+        lost = (max(mp.mag(head), mp.mag(tail)) - max(1, mp.mag(e2))) * math.log10(2)
+        if lost < 1 or wide is not ctx:
+            return tuple(_rounded(v, t, ctx) for v in (e2, j2 * j2 * e4, j2 * j2 * j2 * e6))
+        wide = ctx_new(ctx.target_digits + math.ceil(lost))
 
 
 def eisenstein(k: int, t: TauPoint, ctx: PrecisionCtx):
-    """E_k(tau) = 1 + c_k sum_n n^(k-1) q^n / (1 - q^n) for k in {2, 4, 6},
-    read from the one fixed-point pass of eisenstein_all.
-
-    With r = |q|, the tail past N >= (k-1) / ln(1/r) is at most
-    (N+1)^(k-1) r^(N+1) / ((1-r)(1-rho)), rho = ((N+2)/(N+1))^(k-1) r, and N
-    keeps |c_k| times it below tail_tol / 2 (_lambert_count); guard bits
-    sized from N^6, |c_6| = 504 and 1/(1-r)^3 keep the rounding below
-    tail_tol / 2 (the argument is in eisenstein_all)."""
+    """E_k(tau) for k in {2, 4, 6}, read from eisenstein_all."""
     if k not in _EISENSTEIN:
         raise ValueError("k must be one of 2, 4, 6")
     return eisenstein_all(t, ctx)[k // 2 - 1]
@@ -224,10 +324,13 @@ def weierstrass_g2_g3(t: TauPoint, ctx: PrecisionCtx):
 
 
 def delta_tau(t: TauPoint, ctx: PrecisionCtx):
-    """Discriminant Delta(tau) = (2 pi)^12 q P(q)^24; real wherever q is."""
-    _require_im(t, MIN_IM_QSERIES, "delta_tau")
-    pi = pi_reference(ctx)
-    return (2 * pi) ** 12 * t.q * _euler(t.q, ctx) ** 24
+    """Discriminant Delta(tau) = (c tau0 + d)^12 (2 pi)^12 q0 P(q0)^24, with q0
+    the nome of tau0; real wherever q is."""
+    reduced, word = reduce_tau(t, ctx)
+    _, _, c, d = word.matrix()
+    j6 = ((c * reduced.tau + d) ** 3) ** 2
+    value = (2 * pi_reference(ctx)) ** 12 * reduced.q * _euler(reduced.q, ctx) ** 24
+    return _rounded(value * j6 * j6, t, ctx)
 
 
 def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
@@ -240,15 +343,17 @@ def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
 # Modular lambda
 # ---------------------------------------------------------------------------
 
-def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
-    """lambda(tau) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24; needs Im(tau) >= 1/2."""
-    if t.im < MIN_IM_LAMBDA:
-        raise ValueError(
-            f"lambda_tau needs Im(tau) >= {MIN_IM_LAMBDA} (|x| <= e^(-pi/2)); "
-            "use lambda_tau_reduced"
-        )
+def _lambda_series(t: TauPoint, ctx: PrecisionCtx):
+    """lambda(tau) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24, summed at tau itself."""
     x, q = t.x, t.q
     return 16 * x * _euler(x, ctx) ** 8 * _euler(q * q, ctx) ** 16 / _euler(q, ctx) ** 24
+
+
+def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
+    """lambda at any tau: the product at tau0, mapped back by the laws
+    lambda(tau + 1) = lambda/(lambda - 1), lambda(-1/tau) = 1 - lambda."""
+    reduced, word = reduce_tau(t, ctx)
+    return word.apply_to_lambda(_lambda_series(reduced, ctx))
 
 
 def _lambda_x_series(n: int) -> list[int]:
@@ -278,80 +383,6 @@ def lambda_q_coeffs(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _lambda_x_series(n + 1)[1:]
-
-
-# ---------------------------------------------------------------------------
-# Reduction to the q-series domain
-# ---------------------------------------------------------------------------
-
-LETTER_T = "T"
-LETTER_T_INV = "T^-1"
-LETTER_S = "S"
-
-
-@dataclass(frozen=True)
-class TransformWord:
-    """Word over {T: tau+1, T^-1: tau-1, S: -1/tau} mapping the reduced
-    point back to the original one."""
-
-    letters: tuple[str, ...]
-
-    def apply_to_tau(self, tau):
-        for letter in self.letters:
-            if letter == LETTER_T:
-                tau = tau + 1
-            elif letter == LETTER_T_INV:
-                tau = tau - 1
-            elif letter == LETTER_S:
-                tau = -1 / tau
-            else:
-                raise ValueError(f"unknown letter {letter!r}")
-        return tau
-
-    def apply_to_lambda(self, lam):
-        # Carry the pair (x, 1-x).  S swaps it; T and T^-1 both act as the
-        # involution x -> x/(x-1), i.e. (x, y) -> (-x/y, 1/y) since x + y = 1.
-        # Both square to the identity on lambda, so a run of like letters acts
-        # once when its length is odd and not at all when it is even.  No
-        # letter subtracts two nearly equal numbers, so lambda keeps its
-        # relative precision near the cusps, where it is huge.
-        unknown = set(self.letters) - {LETTER_T, LETTER_T_INV, LETTER_S}
-        if unknown:
-            raise ValueError(f"unknown letter {unknown.pop()!r}")
-        x, y = lam, 1 - lam
-        for is_swap, run in groupby(self.letters, key=lambda letter: letter == LETTER_S):
-            if len(list(run)) % 2:
-                x, y = (y, x) if is_swap else (-x / y, 1 / y)
-        return x
-
-
-def reduce_tau(t: TauPoint, ctx: PrecisionCtx, max_steps: int = 64):
-    """Move tau into Im >= 1/2 via translations and inversions.
-
-    Returns (reduced TauPoint, TransformWord); the word applied to the
-    reduced tau reproduces the original point.
-    """
-    mp = ctx.mp
-    tau = t.tau
-    inverse_letters = []  # inverses of the applied moves, most recent first
-    for _ in range(max_steps):
-        shift = int(mp.nint(tau.real))
-        if shift:
-            tau = tau - shift
-            letter = LETTER_T if shift > 0 else LETTER_T_INV
-            inverse_letters[:0] = [letter] * abs(shift)
-        if tau.imag >= MIN_IM_LAMBDA:
-            return tau_point(tau, ctx), TransformWord(tuple(inverse_letters))
-        tau = -1 / tau
-        inverse_letters[:0] = [LETTER_S]
-    raise ReductionError(f"reduction did not reach Im >= {MIN_IM_LAMBDA} in {max_steps} steps")
-
-
-def lambda_tau_reduced(t: TauPoint, ctx: PrecisionCtx):
-    """lambda(tau) for any Im(tau) > 0, via reduction and the transformation
-    rules lambda(tau +- 1) = lambda/(lambda - 1), lambda(-1/tau) = 1 - lambda."""
-    reduced, word = reduce_tau(t, ctx)
-    return word.apply_to_lambda(lambda_tau(reduced, ctx))
 
 
 # ---------------------------------------------------------------------------

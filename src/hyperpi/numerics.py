@@ -171,8 +171,8 @@ def truncated_digits(x, n: int) -> str:
 def fixed_point(z):
     """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
     for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  The
-    fixed-point kernels (the 2F1 series and the Lambert series) read their
-    argument through this one converter."""
+    fixed-point kernels (the 2F1 and Lambert series) and the exact reduction
+    of tau read their argument through this one converter."""
     if isinstance(z, Fraction):
         den = z.denominator
         s = (den & -den).bit_length() - 1

@@ -156,12 +156,13 @@ def eisenstein_theta_forms(tau, digits):
 
 def e2_divisor_sum(tau, digits):
     """E2(tau) = 1 - 24 sum_n sigma_1(n) q^n, q = e^(2 pi i tau), at 20 digits
-    beyond `digits`, for Im(tau) >= 1/4.
+    beyond `digits`, for Im(tau) >= 0.01.
 
     The divisor sums come from a sieve, not from the Lambert form that
-    hyperpi sums.  With |q| <= e^(-pi/2) and sigma_1(n) <= n^2, stopping at
-    n_max = (digits + 30) ln 10 / ln(1/|q|) + 100 leaves a tail below
-    10^-(digits+60).
+    hyperpi sums.  Stopping at n_max = (digits + 30) ln 10 / ln(1/|q|) + 100,
+    |q|^n_max is below 10^-(digits+30) e^(-100 ln(1/|q|)), and with
+    sigma_1(n) <= n^2 and |q| <= e^(-2 pi/100) the tail stays below
+    n_max^2 |q|^n_max / (1 - |q|) < 10^-(digits+20).
     """
     with mpmath.workdps(digits + 20):
         q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))

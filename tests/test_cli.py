@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +8,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperpi
 from hyperpi import cli, ctx_new, parse_complex, pi_reference_digits
 from hyperpi.cli import _EVAL_FNS, main
 from hyperpi.suite import agm_oracle_reports, functional_equation_reports
 
-from _oracles import LAM_2I
+from _oracles import LAM_2I, e2_divisor_sum, eisenstein_theta_forms, lambda_theta_quotient
 
 
 def run(capsys, *argv):
@@ -106,31 +110,45 @@ EVAL_CASES = [(fn, option) for fn, evaluators in _EVAL_FNS.items() for option in
 
 def _eval_oracle(fn, option):
     """The value of `eval --fn fn` at EVAL_POINTS[option] from mpmath alone:
-    theta functions, the q-Pochhammer symbol, a divisor-sum E2, ellipk and
-    mpmath's own 2F1."""
-    if option == "lambda":
-        lam = mpmath.mpf(EVAL_POINTS["lambda"])
-        if fn == "F":
-            return 2 * mpmath.ellipk(lam) / mpmath.pi
-        if fn == "F2":
-            return mpmath.hyp2f1(1.5, 1.5, 2, lam)
-        return 4 * (lam * lam - lam + 1) ** 3 / (27 * lam * lam * (1 - lam) ** 2)  # j
-    tau = mpmath.mpc(*EVAL_POINTS["tau"][:-1].split("+"))
-    q = mpmath.exp(2j * mpmath.pi * tau)
-    t2, t3, t4 = (mpmath.jtheta(k, 0, mpmath.exp(1j * mpmath.pi * tau)) ** 4 for k in (2, 3, 4))
-    e2 = 1 - 24 * mpmath.fsum(sum(d for d in range(1, n + 1) if n % d == 0) * q**n for n in range(1, 80))
-    e4 = (t2 * t2 + t3 * t3 + t4 * t4) / 2
-    e6 = (t2 + t3) * (t3 + t4) * (t4 - t2) / 2
-    return {
-        "lambda": t2 / t3,
-        "eta": mpmath.exp(1j * mpmath.pi * tau / 12) * mpmath.qp(q),
-        "e2": e2,
-        "e4": e4,
-        "e6": e6,
-        "delta": (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24,
-        "j": e4**3 / (e4**3 - e6**2),
-        "s2": e4 / e6 * (e2 - 3 / (mpmath.pi * tau.imag)),
-    }[fn]
+    ellipk and mpmath's own 2F1 for a lambda point, _tau_oracle for a tau
+    point."""
+    if option == "tau":
+        return _tau_oracle(fn, mpmath.mpc(*EVAL_POINTS["tau"][:-1].split("+")), 30)
+    lam = mpmath.mpf(EVAL_POINTS["lambda"])
+    if fn == "F":
+        return 2 * mpmath.ellipk(lam) / mpmath.pi
+    if fn == "F2":
+        return mpmath.hyp2f1(1.5, 1.5, 2, lam)
+    return 4 * (lam * lam - lam + 1) ** 3 / (27 * lam * lam * (1 - lam) ** 2)  # j
+
+
+def _tau_oracle(fn, tau, digits):
+    """The value of `eval --fn fn` at tau, Im(tau) >= 0.01, from mpmath alone
+    to about 10^-(digits+10): mpmath's eta and q-Pochhammer symbol, theta
+    functions and a divisor-sum E2.  The digits of Im(tau) are added, as
+    the exponent of the nome needs them."""
+    digits += max(0, int(mpmath.log10(tau.imag)))
+    with mpmath.workdps(digits + 40):
+        tau = mpmath.mpc(tau)
+        if fn == "eta":
+            return mpmath.eta(tau)
+        if fn == "lambda":
+            return lambda_theta_quotient(tau, digits)
+        if fn == "e2":
+            return e2_divisor_sum(tau, digits)
+        q = mpmath.exp(2j * mpmath.pi * tau)
+        # Delta / (2 pi)^12 = q prod (1 - q^n)^24; mpmath's qp shifts by the
+        # exponent of a q below the working precision, where it rounds to 1
+        delta = q * (mpmath.qp(q) ** 24 if abs(q) > mpmath.eps else 1)
+        if fn == "delta":
+            return (2 * mpmath.pi) ** 12 * delta
+        e4, e6 = eisenstein_theta_forms(tau, digits)
+        return {
+            "e4": lambda: e4,
+            "e6": lambda: e6,
+            "j": lambda: e4**3 / (1728 * delta),
+            "s2": lambda: e4 / e6 * (e2_divisor_sum(tau, digits) - 3 / (mpmath.pi * tau.imag)),
+        }[fn]()
 
 
 class TestEvalTable:
@@ -147,7 +165,7 @@ class TestEvalTable:
         # perfbench's tracer wraps a function by patching the module names
         # that refer to it, so the table must call through those names
         called = []
-        for name in ("lambda_tau_reduced", "eta", "eisenstein", "delta_tau", "normalized_j", "s2",
+        for name in ("lambda_tau", "eta", "eisenstein", "delta_tau", "normalized_j", "s2",
                      "legendre_F", "legendre_F2"):
             def wrapper(*args, _name=name, _fn=getattr(cli, name)):
                 called.append(_name)
@@ -164,6 +182,56 @@ class TestEvalTable:
         code, _, err = run(capsys, "eval", "--fn", fn, *others)
         assert code == 2
         assert f"--fn {fn} requires --" in err
+
+
+TAU_FNS = [fn for fn, evaluators in _EVAL_FNS.items() if "tau" in evaluators]
+ORACLE_MIN_IM = 0.05  # below it the oracles' theta and divisor sums grow too long
+
+
+def _eval_anywhere(fn, point, digits, oracle=None):
+    """`eval --fn fn --tau=point` in this process either exits 1 with one
+    `error:` line, or exits 0 with a value within 10^(5-digits) of
+    oracle(tau), where an oracle is given: relative to |value| for eta,
+    Delta and lambda, which have no zeros, and to max(1, |value|) for the
+    rest.  An exception raised out of main fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--fn", fn, f"--tau={point}", "--digits", str(digits)])
+    if code == 1:
+        assert not out.getvalue() and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert code == 0 and not err.getvalue()
+    ctx = ctx_new(digits)
+    got = parse_complex(out.getvalue().strip(), ctx)
+    if oracle is not None:
+        expected = oracle(parse_complex(point, ctx))
+        with mpmath.workdps(digits + 40):
+            scale = abs(expected) if fn in ("eta", "delta", "lambda") else max(1, abs(expected))
+            assert abs(mpmath.mpc(got) - expected) <= mpmath.mpf(10) ** (5 - digits) * scale
+
+
+class TestExtremeTau:
+    def test_delta_at_huge_im(self):
+        # the nome e^(2 pi i tau) lies far below the tail tolerance
+        _eval_anywhere("delta", "0.3+1e400i", 30, lambda tau: _tau_oracle("delta", tau, 30))
+
+    def test_lambda_near_the_real_axis(self):
+        # gamma = (3 -1; 10 -3) is T modulo 2, so lambda(tau) = l/(l-1) with
+        # l = lambda(gamma tau), and Im(gamma tau) is about 10^10
+        def oracle(tau):
+            with mpmath.workdps(80):
+                tau = mpmath.mpc(tau)
+                lam = _tau_oracle("lambda", (3 * tau - 1) / (10 * tau - 3), 30)
+                return lam / (lam - 1)
+
+        _eval_anywhere("lambda", "0.3+1e-12i", 30, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fn=st.sampled_from(TAU_FNS), re=st.floats(-10, 10), log10_im=st.floats(-40, 40))
+    def test_every_tau_function_anywhere(self, fn, re, log10_im):
+        im = 10.0**log10_im
+        oracle = (lambda tau: _tau_oracle(fn, tau, 30)) if im >= ORACLE_MIN_IM else None
+        _eval_anywhere(fn, f"{re!r}+{im!r}i", 30, oracle)
 
 
 class TestUsage:

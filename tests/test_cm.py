@@ -9,7 +9,7 @@ from hyperpi import (
     cm_tau,
     combined_s2_term,
     identity_check,
-    lambda_tau_reduced,
+    lambda_tau,
     legendre_F,
     legendre_F2,
     make_report,
@@ -53,7 +53,7 @@ class TestCMQuadratic:
 
     def test_lambda_two_at_half_plus_half_i(self, ctx50):
         t = cm_tau(CMQuadratic(2, -2, 1), ctx50)
-        lam = lambda_tau_reduced(t, ctx50)
+        lam = lambda_tau(t, ctx50)
         assert abs(lam - 2) < ctx50.real("1e-45")
 
 
@@ -61,13 +61,13 @@ class TestCombinedS2:
     @pytest.mark.parametrize("abc", [(1, 0, 1), (1, -2, 2)])
     def test_vanishes_at_e6_zeros(self, ctx50, abc):
         t = cm_tau(CMQuadratic(*abc), ctx50)
-        F = legendre_F(lambda_tau_reduced(t, ctx50), ctx50)
+        F = legendre_F(lambda_tau(t, ctx50), ctx50)
         assert abs(combined_s2_term(t, F, ctx50)) < ctx50.real("1e-45")
 
     def test_matches_raw_route_at_2i(self, ctx50):
         # away from E6 zeros the combined form must equal (3g3/2g2) s2
         t = cm_tau(CMQuadratic(1, 0, 4), ctx50)
-        lam = lambda_tau_reduced(t, ctx50)
+        lam = lambda_tau(t, ctx50)
         F = legendre_F(lam, ctx50)
         combined = combined_s2_term(t, F, ctx50)
         curve = weierstrass_from_lambda(lam)

@@ -7,6 +7,7 @@ import pytest
 from hyperpi import (
     IndeterminateFormError,
     ReductionError,
+    TransformWord,
     ctx_new,
     delta_tau,
     delta_tau_eisenstein,
@@ -15,7 +16,6 @@ from hyperpi import (
     eta,
     lambda_q_coeffs,
     lambda_tau,
-    lambda_tau_reduced,
     normalized_j,
     parse_complex,
     pi_reference,
@@ -24,7 +24,8 @@ from hyperpi import (
     s2_bracket,
     tau_point,
 )
-from hyperpi.modular import _lambda_x_series, _lambert_count
+from hyperpi import modular, suite
+from hyperpi.modular import _eisenstein_series, _lambda_series, _lambda_x_series, _lambert_count
 
 from _oracles import (
     ETA_I,
@@ -89,10 +90,6 @@ class TestEta:
         rhs = eta(tau_point(tau, ctx50), ctx50) * mp.sqrt(mp.mpc(0, -1) * tau)
         assert abs(lhs - rhs) < ctx50.real("1e-55")
 
-    def test_im_threshold(self, ctx50):
-        with pytest.raises(ValueError):
-            eta(tau_point(_mpc(ctx50, 0, "0.2"), ctx50), ctx50)
-
 
 class TestEisenstein:
     def test_e2_at_i_is_3_over_pi(self, ctx50):
@@ -123,8 +120,8 @@ class TestEisenstein:
             eisenstein(8, tau_point(_mpc(ctx50, 0, 1), ctx50), ctx50)
 
 
-# Im tau = 1/4 is the edge of the direct domain, where |q| = e^(-pi/2) and the
-# Lambert pass is longest; Re tau = 0 and 1 give a real q.
+# At Im tau = 1/4, |q| = e^(-pi/2) and a Lambert pass at tau itself is far
+# longer than any at a reduced point; Re tau = 0 and 1 give a real q.
 EISENSTEIN_POINTS = [(0, "0.25"), (1, "0.25"), ("0.3", "0.25"), ("-0.5", "0.25"), (0, 1),
                      (1, "1.5"), ("-0.7", "1.3"), ("0.123", 2)]
 
@@ -138,22 +135,39 @@ def _assert_matches(value, expected, ctx):
 
 
 class TestEisensteinKernel:
-    """The fixed-point Lambert pass of eisenstein_all at 300 digits against
-    oracles outside it, and its stated tail bound."""
+    """The fixed-point Lambert pass at 300 digits, summed at tau itself and
+    through the reduction, against oracles outside it, and its stated tail
+    bound."""
 
     @pytest.mark.parametrize("tau", EISENSTEIN_POINTS)
     def test_e4_e6_against_theta_forms(self, tau):
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
         e4, e6 = eisenstein_theta_forms(t.tau, 300)
-        _assert_matches(eisenstein(4, t, ctx), e4, ctx)
-        _assert_matches(eisenstein(6, t, ctx), e6, ctx)
+        for values in (_eisenstein_series(t, ctx), eisenstein_all(t, ctx)):
+            _assert_matches(values[1], e4, ctx)
+            _assert_matches(values[2], e6, ctx)
 
     @pytest.mark.parametrize("tau", EISENSTEIN_POINTS)
     def test_e2_against_divisor_sum(self, tau):
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
-        _assert_matches(eisenstein(2, t, ctx), e2_divisor_sum(t.tau, 300), ctx)
+        e2 = e2_divisor_sum(t.tau, 300)
+        _assert_matches(_eisenstein_series(t, ctx)[0], e2, ctx)
+        _assert_matches(eisenstein(2, t, ctx), e2, ctx)
+
+    @pytest.mark.parametrize("digits", [30, 100])
+    @pytest.mark.parametrize("tau", ["0.6+0.02095i", "0.14286+0.01068i", "0.18182+0.004328i"])
+    def test_e2_keeps_precision_where_its_terms_cancel(self, digits, tau):
+        # near zeros of E2 whose reduced points have |c tau0 + d|^2 from 90
+        # to 320, where (c tau0 + d)^2 E2(tau0) and 6c (c tau0 + d)/(pi i)
+        # cancel to |E2| < 1 and would cost 2 of the working digits
+        ctx = ctx_new(digits)
+        t = tau_point(parse_complex(tau, ctx), ctx)
+        with mpmath.workdps(2 * ctx.working_digits):
+            expected = e2_divisor_sum(t.tau, digits + 20)
+            error = abs(mpmath.mpc(eisenstein(2, t, ctx)) - expected)
+            assert error <= 10 * mpmath.mpf(10) ** -ctx.working_digits * max(1, abs(expected))
 
     @pytest.mark.parametrize("re", [0, 1, -1])
     def test_real_nome_gives_real_values(self, re):
@@ -264,10 +278,6 @@ class TestLambda:
             t = tau_point(_mpc(ctx, repr(re), repr(im)), ctx)
             _assert_lambda_matches_oracle(lambda_tau(t, ctx), t.tau, digits, f"1e-{digits}")
 
-    def test_im_threshold(self, ctx50):
-        with pytest.raises(ValueError):
-            lambda_tau(tau_point(_mpc(ctx50, 0, "0.4"), ctx50), ctx50)
-
 
 class TestLambdaCoeffs:
     def test_prefix(self):
@@ -289,16 +299,16 @@ class TestLambdaCoeffs:
 class TestLambdaReduced:
     def test_inversion_to_3i(self, ctx50):
         third = ctx50.real(1) / 3
-        lhs = lambda_tau_reduced(tau_point(_mpc(ctx50, 0, third), ctx50), ctx50)
+        lhs = lambda_tau(tau_point(_mpc(ctx50, 0, third), ctx50), ctx50)
         rhs = 1 - lambda_tau(tau_point(_mpc(ctx50, 0, 3), ctx50), ctx50)
         assert abs(lhs - rhs) < ctx50.real("1e-55")
 
     def test_agrees_with_direct_in_range(self, ctx50):
         t = tau_point(_mpc(ctx50, 1, 1), ctx50)
-        assert abs(lambda_tau_reduced(t, ctx50) - lambda_tau(t, ctx50)) < ctx50.real("1e-55")
+        assert abs(lambda_tau(t, ctx50) - _lambda_series(t, ctx50)) < ctx50.real("1e-55")
 
     def test_near_zero_tends_to_one(self, ctx50):
-        lam = lambda_tau_reduced(tau_point(_mpc(ctx50, 0, "0.125"), ctx50), ctx50)
+        lam = lambda_tau(tau_point(_mpc(ctx50, 0, "0.125"), ctx50), ctx50)
         assert abs(lam - 1) < ctx50.real("1e-9")
         assert lam != 1
 
@@ -309,11 +319,32 @@ class TestLambdaReduced:
 
     def test_word_reproduces_tau(self, ctx50):
         rng = random.Random(5)
-        for _ in range(8):
-            tau = _mpc(ctx50, repr(rng.uniform(-2, 2)), repr(rng.uniform(0.05, 0.45)))
+        points = [(repr(rng.uniform(-2, 2)), repr(rng.uniform(0.05, 0.45))) for _ in range(8)]
+        points += [("1e30", "0.3"), ("0.3", "1e-30"), ("-7.25", "1e-12")]
+        for re, im in points:
+            tau = _mpc(ctx50, re, im)
             reduced, word = reduce_tau(tau_point(tau, ctx50), ctx50)
-            assert reduced.im >= ctx50.real("0.5")
-            assert abs(word.apply_to_tau(reduced.tau) - tau) < ctx50.real("1e-50")
+            assert abs(reduced.tau.real) <= 0.5 and abs(reduced.tau) >= 1 - ctx50.eps
+            assert abs(word.apply_to_tau(reduced.tau) - tau) < ctx50.real("1e-50") * abs(tau)
+            a, b, c, d = word.matrix()
+            assert a * d - b * c == 1
+            moebius = (a * reduced.tau + b) / (c * reduced.tau + d)
+            assert abs(moebius - tau) < ctx50.real("1e-50") * abs(tau)
+
+    def test_huge_shift_is_one_run(self, ctx50):
+        t = tau_point(_mpc(ctx50, "1e30", 2), ctx50)
+        reduced, word = reduce_tau(t, ctx50)
+        assert word.letters == (("T", 10**30),)
+        assert reduced.tau == _mpc(ctx50, 0, 2)
+
+    def test_reduced_point_is_returned_unchanged(self, ctx50):
+        t = tau_point(_mpc(ctx50, "0.3", 2), ctx50)
+        assert reduce_tau(t, ctx50) == (t, TransformWord(()))
+
+    def test_malformed_run_rejected(self):
+        for letters in ([("T^-1", 1)], [("S", 0.5)]):
+            with pytest.raises(ValueError):
+                TransformWord(tuple(letters))
 
     def test_step_cap_raises(self, ctx50):
         t = tau_point(_mpc(ctx50, 0, "0.1"), ctx50)
@@ -323,27 +354,91 @@ class TestLambdaReduced:
     @pytest.mark.parametrize(
         "tau",
         [
-            # |lambda| ~ 1.45e43, reached through the word T T T T S T
+            # |lambda| ~ 1.45e43, reached through the word T^4 S T
             pytest.param("0.996710+0.030397i", id="shallow"),
-            # |lambda| ~ 3.6e223, reached through 38 T letters, then S T
+            # |lambda| ~ 3.6e223, reached through the word T^38 S T
             pytest.param("0.998663+0.005760i", id="deep"),
         ],
     )
     def test_full_precision_at_cusp_one(self, tau):
         ctx = ctx_new(300)
         t = tau_point(parse_complex(tau, ctx), ctx)
-        _assert_lambda_matches_oracle(lambda_tau_reduced(t, ctx), t.tau, 300, "1e-295")
+        _assert_lambda_matches_oracle(lambda_tau(t, ctx), t.tau, 300, "1e-295")
 
     @pytest.mark.parametrize("seed", [1])
     def test_functional_equations(self, ctx50, seed):
+        # the series at each point, as the reduction would map all three
+        # points to the same tau0
         rng = random.Random(seed)
         for _ in range(5):
             tau = _mpc(ctx50, repr(rng.uniform(-1, 1)), repr(rng.uniform(0.6, 3)))
-            lam = lambda_tau(tau_point(tau, ctx50), ctx50)
-            shift = lambda_tau_reduced(tau_point(tau + 1, ctx50), ctx50)
+            lam = _lambda_series(tau_point(tau, ctx50), ctx50)
+            shift = _lambda_series(tau_point(tau + 1, ctx50), ctx50)
             assert abs(shift - lam / (lam - 1)) < ctx50.real("1e-45")
-            inv = lambda_tau_reduced(tau_point(-1 / tau, ctx50), ctx50)
+            inv = _lambda_series(tau_point(-1 / tau, ctx50), ctx50)
             assert abs(inv - (1 - lam)) < ctx50.real("1e-45")
+
+    def test_suite_reports_sum_the_series_at_both_points(self, monkeypatch):
+        # each eta and lambda functional-equation report evaluates the series
+        # at tau and at tau+1 or -1/tau, not the law against itself
+        seen = {}
+        for name in ("_eta_series", "_lambda_series"):
+            assert getattr(suite, name) is getattr(modular, name)
+
+            def record(t, ctx, _points=seen.setdefault(name, []), _fn=getattr(suite, name)):
+                _points.append(t.tau)
+                return _fn(t, ctx)
+            monkeypatch.setattr(suite, name, record)
+        suite.functional_equation_reports(30, seed=0)
+        for points in seen.values():
+            bases = [tau for tau in points if tau + 1 in points and -1 / tau in points]
+            assert len(points) == 3 * suite.FUNCTIONAL_EQUATION_POINTS
+            assert len(bases) == suite.FUNCTIONAL_EQUATION_POINTS
+
+
+# Points near the real axis, where the series at tau itself would need
+# thousands of terms: each function goes through the reduction.
+NEAR_AXIS = [(re, im) for im in ("0.2", "0.05", "0.01") for re in (0, "0.3", "-0.45")]
+
+
+def _assert_relative(value, expected, ctx):
+    with mpmath.workdps(2 * ctx.working_digits):
+        assert abs(mpmath.mpc(value) - expected) <= mpmath.mpf(10) ** (3 - ctx.working_digits) * abs(expected)
+
+
+@pytest.mark.parametrize("digits", [50, 300])
+@pytest.mark.parametrize("tau", NEAR_AXIS)
+class TestNearRealAxis:
+    def test_eta_against_mpmath(self, digits, tau):
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        with mpmath.workdps(digits + 40):
+            _assert_relative(eta(t, ctx), mpmath.eta(mpmath.mpc(t.tau)), ctx)
+
+    def test_delta_against_q_pochhammer(self, digits, tau):
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        with mpmath.workdps(digits + 40):
+            q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(t.tau))
+            _assert_relative(delta_tau(t, ctx), (2 * mpmath.pi) ** 12 * q * mpmath.qp(q) ** 24, ctx)
+
+    def test_lambda_against_theta_quotient(self, digits, tau):
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        _assert_relative(lambda_tau(t, ctx), lambda_theta_quotient(t.tau, digits), ctx)
+
+    def test_e4_e6_against_theta_forms(self, digits, tau):
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        _, e4, e6 = eisenstein_all(t, ctx)
+        expected = eisenstein_theta_forms(t.tau, digits)
+        _assert_matches(e4, expected[0], ctx)
+        _assert_matches(e6, expected[1], ctx)
+
+    def test_e2_against_divisor_sum(self, digits, tau):
+        ctx = ctx_new(digits)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        _assert_matches(eisenstein(2, t, ctx), e2_divisor_sum(t.tau, digits), ctx)
 
 
 class TestS2:
