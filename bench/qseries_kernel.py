@@ -6,7 +6,9 @@
 For each tree, each repeat runs one fresh interpreter that imports hyperpi
 from that tree and, at every working precision, every tau and every function
 (eta, E2, E4, E6 and lambda), makes one warm-up call, then times --calls
-calls on a TauPoint built outside the timed region.  The points are
+calls.  Each timed call builds its TauPoint (tau_point) and then calls the
+function on it, so the reduction and the nome are timed whether a tree does
+them in tau_point or in each function.  The points are
 tau = Re + i Im for Im in {0.05, 1/4, 1} and Re in {0, 0.3}: below, at and
 above the old Im(tau) >= 1/4 floor of eta and E_k, with a real nome (Re = 0)
 and a complex one (Re = 0.3).  A call that raises ValueError is "refused".
@@ -70,12 +72,12 @@ for digits in json.loads(sys.argv[3]):
     ctx = ctx_new(digits)
     for tau_text in json.loads(sys.argv[4]):
         re, im = tau_text[:-1].split("+")
-        t = tau_point(ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im)), ctx)
+        tau = ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im))
         for name, fn in FNS.items():
             counts.clear()
             modular._euler, modular._lambert_count = counted_euler, counted_lambert_count
             try:
-                fn(t, ctx)
+                fn(tau_point(tau, ctx), ctx)
             except ValueError:
                 out[f"{digits} {tau_text} {name}"] = "refused"
                 continue
@@ -84,7 +86,7 @@ for digits in json.loads(sys.argv[3]):
             times = []
             for _ in range(calls):
                 start = time.perf_counter()
-                fn(t, ctx)
+                fn(tau_point(tau, ctx), ctx)
                 times.append(time.perf_counter() - start)
             out[f"{digits} {tau_text} {name}"] = {"times": times, "lambert_n": counts.get("lambert_n"),
                                                   "pentagonal_n": counts.get("pentagonal_n")}
@@ -133,7 +135,8 @@ def main() -> None:
         entry["speedup"] = round(entry["before"]["median_ms"] / entry["after"]["median_ms"], 1) if timed else None
         cases[key] = entry
     report = {
-        "what": "median wall time of one public call (eta, eisenstein(k), lambda), keyed 'digits tau fn', "
+        "what": "median wall time of tau_point and one public call on its point (eta, eisenstein(k), lambda), "
+                "keyed 'digits tau fn', "
                 "and the last n of its Lambert and pentagonal sums, before and after; 'refused' where the "
                 "call raises ValueError",
         "command": "python3 bench/qseries_kernel.py " + " ".join(sys.argv[1:]),

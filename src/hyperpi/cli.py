@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .cm import (
@@ -121,6 +122,11 @@ def _run_eval(args) -> int:
     option, point = given[0], options[given[0]]
     ctx = ctx_new(args.digits)
     z = _parse_point(point, ctx)
+    if option == "tau" and z.imag > 0:
+        # the reduction scales the rounding error of a decimal tau by up to |tau| max(1, Im(tau)^-2):
+        # read it again with those digits added, bounded by mag, as |x| <= 2^mag(x) < 4 |x|
+        bits = max(0, ctx.mp.mag(z)) + 2 * max(0, 2 - ctx.mp.mag(z.imag))
+        z = _parse_point(point, ctx_new(args.digits + math.ceil(bits * math.log10(2)) + 1))
     value = evaluators[option](tau_point(z, ctx) if option == "tau" else z, ctx)
 
     text = format_value(value, ctx, args.digits)

@@ -34,7 +34,7 @@ from .modular import (
     lambda_tau,
     weierstrass_g2_g3,
 )
-from .numerics import PrecisionCtx, agm_sums, format_value, pi_reference
+from .numerics import PrecisionCtx, agm_converged, format_value, pi_reference
 from .reports import FormulaReport, make_report
 
 
@@ -119,9 +119,8 @@ def _d_omega1_agm(lam, ctx: PrecisionCtx):
     """dOmega1/dlambda = 2 dK/dm = (E - (1-m) K) / (m (1-m)) at m = lambda from
     the AGM of 1 and sqrt(1-m) alone: Omega1 = 2K = pi / a_N and, by
     Legendre, E = K (1 - m/2 + t_N) with t = 0 in agm_sums."""
-    for a, b, t in agm_sums(ctx.mp.sqrt(1 - lam), 0, ctx.mp):
-        if abs(a - b) < ctx.eps:
-            return pi_reference(ctx) / (2 * a) * (lam / 2 + t) / (lam * (1 - lam))
+    a, _, t = agm_converged(ctx.mp.mpf(1), ctx.mp.sqrt(1 - lam), 0, ctx)
+    return pi_reference(ctx) / (2 * a) * (lam / 2 + t) / (lam * (1 - lam))
 
 
 def bruns_residuals(lam, ctx: PrecisionCtx):

@@ -1,13 +1,13 @@
 """q-series engines: Dedekind eta, Eisenstein E2/E4/E6, the discriminant and
 the modular lambda function, at any tau in the upper half-plane.
 
-Each public function of tau reduces tau exactly to tau0 in the fundamental
-domain (reduce_tau), where Im tau0 >= sqrt(3)/2 and |q| < 0.0044, sums its
-series there and maps the value back along tau = (a tau0 + b)/(c tau0 + d) by
-the transformation laws in its docstring (Apostol, Modular Functions and
-Dirichlet Series, ch. 1 and 3).  eta, Delta and lambda sum one pentagonal
-series P(y) = prod (1 - y^m), lambda at x = q^(1/2) (Borwein & Borwein 1987,
-ch. 4):
+tau_point reduces tau exactly, once, to tau0 in the fundamental domain, where
+Im tau0 >= sqrt(3)/2 and |q| < 0.0044, and forms the nome of tau0.  Each
+public function sums its series there and maps the value back along
+tau = (a tau0 + b)/(c tau0 + d) by the transformation laws in its docstring
+(Apostol, Modular Functions and Dirichlet Series, ch. 1 and 3).  eta, Delta
+and lambda sum one pentagonal series P(y) = prod (1 - y^m), lambda at
+x = q^(1/2) (Borwein & Borwein 1987, ch. 4):
 
     lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x - 128 x^2 + 704 x^3 - ...
 
@@ -24,46 +24,7 @@ from dataclasses import dataclass
 from .errors import IndeterminateFormError, ReductionError
 from .numerics import PrecisionCtx, ctx_new, fixed_point, pi_reference
 
-
-@dataclass(frozen=True)
-class TauPoint:
-    """A point in the upper half-plane with its nome q and x = q^(1/2),
-    computed once (_point); both are real when Re(tau) is an exact integer,
-    which keeps every downstream q-series real on the imaginary axis."""
-
-    tau: object
-    q: object
-    x: object
-    im: object
-
-
-def tau_point(tau, ctx: PrecisionCtx) -> TauPoint:
-    tau = ctx.complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    re, im, s, _ = fixed_point(tau)
-    return _point(re, im, 1 << s, ctx)
-
-
-def _point(re: int, im: int, den: int, ctx: PrecisionCtx) -> TauPoint:
-    """The TauPoint of tau = (re + i im)/den, given exactly: x = e^(pi i tau)
-    takes Re(tau) mod 2 exactly and forms pi Im(tau) with the digits of Im(tau)
-    added to the working precision, so that it keeps its relative precision
-    however large tau is."""
-    mp = ctx.mp
-    tau = mp.mpc(mp.mpf(re) / den, mp.mpf(im) / den)
-    r = re % (2 * den)
-    wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
-    x = wide.mp.exp(wide.mp.mpc(0, pi_reference(wide)) * wide.mp.mpc(r, im) / den)
-    x = ctx.real(x.real) if r % den == 0 else ctx.complex(x)
-    return TauPoint(tau=tau, q=x * x, x=x, im=tau.imag)
-
-
-def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
-    """value at the precision of ctx; an mpf where the nome of t is real, as
-    E_k and Delta are there."""
-    value = ctx.complex(value)
-    return value if hasattr(t.q, "_mpc_") else value.real
+MAX_INVERSIONS = 1000  # reduce_tau's cap
 
 
 @dataclass(frozen=True)
@@ -78,10 +39,6 @@ class TransformWord:
         for letter, count in self.letters:
             if letter not in ("T", "S") or not isinstance(count, int):
                 raise ValueError(f"not a run: {(letter, count)!r}")
-
-    def apply_to_tau(self, tau):
-        a, b, c, d = self.matrix()
-        return (a * tau + b) / (c * tau + d)
 
     def apply_to_lambda(self, lam):
         # Carry the pair (x, 1-x): S swaps it, and T^m acts as x -> x/(x-1),
@@ -105,18 +62,74 @@ class TransformWord:
         return a, b, c, d
 
 
-def reduce_tau(t: TauPoint, ctx: PrecisionCtx, max_steps: int = 1000):
-    """(TauPoint at tau0, TransformWord) with |Re tau0| <= 1/2, |tau0| >= 1 and
-    word(tau0) = tau, by shifts to the nearest integer and inversions (t
-    itself and the empty word if tau is reduced).  With tau = (re + i im)/2^s,
-    the point is A/C, A = a (re + i im) + b 2^s, C = c (re + i im) + d 2^s,
-    ad - bc = 1, so no step rounds and a shift of any size is one run.  More
-    than max_steps inversions raise ReductionError; as each inversion from
-    Im <= 1/2 at least doubles Im, the default cap holds above Im tau = 1e-300."""
-    re, im, s, _ = fixed_point(t.tau)
-    ar, ai, cr, ci = re, im, 1 << s, 0  # A = ar + i ai, C = cr + i ci
+@dataclass(frozen=True)
+class TauPoint:
+    """tau (rounded to ctx) and its reduction: word maps tau0 = (re + i im)/den,
+    `reduced` = (re, im, den) in exact integers, from the fundamental domain
+    back to tau; x = e^(pi i tau0) and q = x^2 are the nome of tau0, not of
+    tau.  integer_re: Re(tau) is an integer, where E_k and Delta are real."""
+
+    tau: object
+    im: object
+    word: TransformWord
+    reduced: tuple[int, int, int]
+    tau0: object
+    x: object
+    q: object
+    integer_re: bool
+
+
+def tau_point(tau, ctx: PrecisionCtx) -> TauPoint:
+    """tau reduced once.  An mpc is read with all its bits (any other type at
+    ctx), so f(tau) is f at that binary tau; rounding a decimal tau moves tau0
+    by up to |tau| max(1, Im(tau)^-2) times the error (see cli._run_eval)."""
+    return _point(tau, ctx, reduce=True)
+
+
+def _raw_point(tau, ctx: PrecisionCtx) -> TauPoint:
+    """tau unreduced, with its own nome: the law checks sum the kernels there."""
+    return _point(tau, ctx, reduce=False)
+
+
+def _point(tau, ctx: PrecisionCtx, reduce: bool) -> TauPoint:
+    re, im, s, _ = fixed_point(tau if hasattr(tau, "_mpc_") else ctx.complex(tau))
+    if im <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    den = 1 << s
+    reduced, word = reduce_tau(re, im, den) if reduce else ((re, im, den), TransformWord(()))
+    tau0, x = _nome(*reduced, ctx)
+    tau = ctx.mp.mpc(ctx.mp.mpf(re) / den, ctx.mp.mpf(im) / den)
+    return TauPoint(tau, tau.imag, word, reduced, tau0, x, x * x, re % den == 0)
+
+
+def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
+    """(tau0, x = e^(pi i tau0)) at ctx for tau0 = (re + i im)/den: x takes
+    Re(tau0) mod 2 exactly and pi Im(tau0) with the digits of Im(tau0) added,
+    so it keeps its relative precision at any height; real at integer Re(tau0)."""
+    mp = ctx.mp
+    r = re % (2 * den)
+    wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
+    x = wide.mp.exp(wide.mp.mpc(0, pi_reference(wide)) * wide.mp.mpc(r, im) / den)
+    x = ctx.real(x.real) if r % den == 0 else ctx.complex(x)
+    return mp.mpc(mp.mpf(re) / den, mp.mpf(im) / den), x
+
+
+def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
+    """value at ctx; an mpf at integer Re(tau), where E_k and Delta are real."""
+    value = ctx.complex(value)
+    return value.real if t.integer_re else value
+
+
+def reduce_tau(re: int, im: int, den: int):
+    """((re0, im0, den0), word): tau0 = (re0 + i im0)/den0, |Re tau0| <= 1/2,
+    |tau0| >= 1, word(tau0) = tau = (re + i im)/den, by shifts to the nearest
+    integer and inversions.  The point is A/C, A = a (re + i im) + b den,
+    C = c (re + i im) + d den, ad - bc = 1: no step rounds, and a shift of any
+    size is one run.  Each inversion from Im <= 1/2 at least doubles Im, so
+    the ReductionError past MAX_INVERSIONS comes only below Im tau = 1e-300."""
+    ar, ai, cr, ci = re, im, den, 0  # A = ar + i ai, C = cr + i ci
     runs = []  # the inverse of each move
-    for _ in range(max_steps + 1):
+    for _ in range(MAX_INVERSIONS + 1):
         norm = cr * cr + ci * ci
         shift = (2 * (ar * cr + ai * ci) + norm) // (2 * norm)  # nearest integer to Re(A/C)
         if shift:
@@ -127,11 +140,9 @@ def reduce_tau(t: TauPoint, ctx: PrecisionCtx, max_steps: int = 1000):
         ar, ai, cr, ci = -cr, -ci, ar, ai  # A/C -> -C/A
         runs.append(("S", 1))
     else:
-        raise ReductionError(f"reduction to the fundamental domain took more than {max_steps} inversions")
-    if not runs:
-        return t, TransformWord(())
-    # tau0 = (A conj C)/|C|^2, and Im(A conj C) = (ad - bc) im 2^s
-    return _point(ar * cr + ai * ci, ai * cr - ar * ci, norm, ctx), TransformWord(tuple(reversed(runs)))
+        raise ReductionError(f"reduction to the fundamental domain took more than {MAX_INVERSIONS} inversions")
+    # tau0 = (A conj C)/|C|^2, and Im(A conj C) = (ad - bc) im den
+    return (ar * cr + ai * ci, ai * cr - ar * ci, norm), TransformWord(tuple(reversed(runs)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +167,13 @@ def _euler(y, ctx: PrecisionCtx):
 
 
 def _eta_series(t: TauPoint, ctx: PrecisionCtx):
-    """eta(tau) = q^(1/24) P(q) summed at tau itself, |Re(tau)| small, with
-    q^(1/24) = e^(pi i Re(tau)/12) |x|^(1/12): the modulus keeps the relative
-    precision of x, and the value is real at Re(tau) = 0."""
+    """eta(tau0) = q^(1/24) P(q) summed at the nome of tau0, with
+    q^(1/24) = e^(pi i Re(tau0)/12) |x|^(1/12): the modulus keeps the relative
+    precision of x, and the value is real at Re(tau0) = 0."""
     mp = ctx.mp
     prefactor = mp.root(abs(t.x), 12)
-    if t.tau.real:
-        prefactor *= mp.expjpi(t.tau.real / 12)
+    if t.tau0.real:
+        prefactor *= mp.expjpi(t.tau0.real / 12)
     return prefactor * _euler(t.q, ctx)
 
 
@@ -171,9 +182,8 @@ def eta(t: TauPoint, ctx: PrecisionCtx):
     eta(w + m) = e^(pi i m/12) eta(w) (m mod 24) and the principal
     eta(-1/w) = sqrt(-i w) eta(w), w the current point."""
     mp = ctx.mp
-    reduced, word = reduce_tau(t, ctx)
-    value, w = _eta_series(reduced, ctx), reduced.tau
-    for letter, count in word.letters:
+    value, w = _eta_series(t, ctx), t.tau0
+    for letter, count in t.word.letters:
         if letter == "T":
             value *= mp.expjpi(mp.mpf(count % 24) / 12)
             w += count
@@ -217,15 +227,14 @@ def _lambert_count(log_r: float, ctx: PrecisionCtx) -> int:
     return bisect.bisect_left(range(high + 1), True, low, key=below_limit)
 
 
-def _eisenstein_series(t: TauPoint, ctx: PrecisionCtx):
-    """(E2, E4, E6) summed at tau itself in one pass over the Lambert series
+def _eisenstein_series(q, ctx: PrecisionCtx):
+    """(E2, E4, E6) summed at the nome q in one pass over the Lambert series
 
         E_k = 1 + c_k S_k,  S_k = sum_(n=1..N) n^(k-1) q^n / (1 - q^n),  (c_2, c_4, c_6) = (-24, 240, -504),
 
     summed in fixed-point integers with `bits` fractional bits.  N is fixed
     before the loop (_lambert_count), so that the tail past N is within
-    tail_tol / 2 for every k.  A real q (integer Re(tau)) skips the
-    imaginary products.
+    tail_tol / 2 for every k.  A real q skips the imaginary products.
 
     q is rounded once, to q~, and q~^n is carried by one integer product per
     term.  Each term q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2 takes
@@ -244,7 +253,7 @@ def _eisenstein_series(t: TauPoint, ctx: PrecisionCtx):
     keeps below tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded
     once to working precision.
     """
-    qr, qi, s, _ = fixed_point(t.q)
+    qr, qi, s, _ = fixed_point(q)
     # s >= 2^1000 would overflow a float; such a q rounds to 0 or -u anyway,
     # and capping s only raises r, which keeps every bound an upper bound
     log_r = math.log(qr * qr + qi * qi) / 2 - min(s, 1 << 1000) * math.log(2)
@@ -286,19 +295,18 @@ def _eisenstein_series(t: TauPoint, ctx: PrecisionCtx):
 
 def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
     """(E2, E4, E6) at any tau from one Lambert pass at tau0, times (c tau0 + d)^k,
-    plus 6c (c tau0 + d)/(pi i) for E2: mpfs when q is real (integer Re(tau)),
-    mpcs otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
-    more, all three are computed again with the working precision grown by
-    the digits lost, so E2 keeps working precision relative to max(1, |E2|)."""
-    wide = ctx
+    plus 6c (c tau0 + d)/(pi i) for E2: mpfs at integer Re(tau), mpcs
+    otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
+    more, all three are computed again at a working precision grown by the
+    digits lost, tau0's nome too, so E2 keeps it relative to max(1, |E2|)."""
+    wide, tau0, x = ctx, t.tau0, t.x
+    _, _, c, d = t.word.matrix()
     while True:
         mp = wide.mp
-        reduced, word = reduce_tau(t, wide)
-        e2, e4, e6 = _eisenstein_series(reduced, wide)
-        _, _, c, d = word.matrix()
+        e2, e4, e6 = _eisenstein_series(x * x, wide)
         if not c:  # d = +-1: E_k(tau) = E_k(tau0)
             return tuple(_rounded(v, t, ctx) for v in (e2, e4, e6))
-        j = c * reduced.tau + d
+        j = c * tau0 + d
         j2 = j * j
         head, tail = j2 * e2, 6 * c * j / (mp.mpc(0, 1) * pi_reference(wide))
         e2 = head + tail
@@ -306,6 +314,7 @@ def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
         if lost < 1 or wide is not ctx:
             return tuple(_rounded(v, t, ctx) for v in (e2, j2 * j2 * e4, j2 * j2 * j2 * e6))
         wide = ctx_new(ctx.target_digits + math.ceil(lost))
+        tau0, x = _nome(*t.reduced, wide)
 
 
 def eisenstein(k: int, t: TauPoint, ctx: PrecisionCtx):
@@ -325,11 +334,10 @@ def weierstrass_g2_g3(t: TauPoint, ctx: PrecisionCtx):
 
 def delta_tau(t: TauPoint, ctx: PrecisionCtx):
     """Discriminant Delta(tau) = (c tau0 + d)^12 (2 pi)^12 q0 P(q0)^24, with q0
-    the nome of tau0; real wherever q is."""
-    reduced, word = reduce_tau(t, ctx)
-    _, _, c, d = word.matrix()
-    j6 = ((c * reduced.tau + d) ** 3) ** 2
-    value = (2 * pi_reference(ctx)) ** 12 * reduced.q * _euler(reduced.q, ctx) ** 24
+    the nome of tau0; real at integer Re(tau)."""
+    _, _, c, d = t.word.matrix()
+    j6 = ((c * t.tau0 + d) ** 3) ** 2
+    value = (2 * pi_reference(ctx)) ** 12 * t.q * _euler(t.q, ctx) ** 24
     return _rounded(value * j6 * j6, t, ctx)
 
 
@@ -344,7 +352,7 @@ def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
 # ---------------------------------------------------------------------------
 
 def _lambda_series(t: TauPoint, ctx: PrecisionCtx):
-    """lambda(tau) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24, summed at tau itself."""
+    """lambda(tau0) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24, summed at the nome of tau0."""
     x, q = t.x, t.q
     return 16 * x * _euler(x, ctx) ** 8 * _euler(q * q, ctx) ** 16 / _euler(q, ctx) ** 24
 
@@ -352,37 +360,29 @@ def _lambda_series(t: TauPoint, ctx: PrecisionCtx):
 def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
     """lambda at any tau: the product at tau0, mapped back by the laws
     lambda(tau + 1) = lambda/(lambda - 1), lambda(-1/tau) = 1 - lambda."""
-    reduced, word = reduce_tau(t, ctx)
-    return word.apply_to_lambda(_lambda_series(reduced, ctx))
+    return t.word.apply_to_lambda(_lambda_series(t, ctx))
 
 
-def _lambda_x_series(n: int) -> list[int]:
-    """Coefficients of lambda in x = q^(1/2) for x^0 .. x^(n-1), exact.
+def lambda_q_coeffs(n: int) -> list[int]:
+    """First n integer coefficients of lambda in x = q^(1/2): 16, -128, 704, ...
 
     In the product form 16 x prod_m (1-x^m)^8 (1-x^(4m))^16 / (1-x^(2m))^24
     the factor (1 - x^k) has exponent 8 + 16 [4 | k] - 24 [2 | k].  Each
     power acts in place on one truncated integer list: multiplying is
     c[j] -= c[j-k] for descending j, dividing c[j] += c[j-k] for ascending j.
     """
-    if n <= 1:
-        return [0] * n
-    c = [1] + [0] * (n - 2)
-    for k in range(1, n - 1):
-        power = 8 + 16 * (k % 4 == 0) - 24 * (k % 2 == 0)
-        for _ in range(power):
-            for j in range(n - 2, k - 1, -1):
-                c[j] -= c[j - k]
-        for _ in range(-power):
-            for j in range(k, n - 1):
-                c[j] += c[j - k]
-    return [0] + [16 * v for v in c]
-
-
-def lambda_q_coeffs(n: int) -> list[int]:
-    """First n integer coefficients of lambda in x = q^(1/2): 16, -128, 704, ..."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _lambda_x_series(n + 1)[1:]
+    c = [int(j == 0) for j in range(n)]
+    for k in range(1, n):
+        power = 8 + 16 * (k % 4 == 0) - 24 * (k % 2 == 0)
+        for _ in range(power):
+            for j in range(n - 1, k - 1, -1):
+                c[j] -= c[j - k]
+        for _ in range(-power):
+            for j in range(k, n):
+                c[j] += c[j - k]
+    return [16 * v for v in c]
 
 
 # ---------------------------------------------------------------------------

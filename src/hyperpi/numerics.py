@@ -171,8 +171,8 @@ def truncated_digits(x, n: int) -> str:
 def fixed_point(z):
     """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
     for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  The
-    fixed-point kernels (the 2F1 and Lambert series) and the exact reduction
-    of tau read their argument through this one converter."""
+    fixed-point kernels (the 2F1 and Lambert series) and tau_point's exact
+    reduction read their argument through this one converter."""
     if isinstance(z, Fraction):
         den = z.denominator
         s = (den & -den).bit_length() - 1
@@ -189,51 +189,46 @@ def fixed_point(z):
 # ---------------------------------------------------------------------------
 
 def agm(a, b, ctx: PrecisionCtx):
-    """Common limit of a' = (a+b)/2, b' = sqrt(ab) for positive a, b.
-
-    Iterates until |a - b| < 10^(-working_digits), scaled by the operand
-    magnitude when that exceeds 1 (an absolute threshold below one ulp of
-    the result is unreachable).  Quadratic convergence: the loop needs
-    about log2(working bits) steps; the cap is a safety net.
-    """
-    mp = ctx.mp
-    a = ctx.real(a)
-    b = ctx.real(b)
+    """Common limit of a' = (a+b)/2, b' = sqrt(ab) for positive a, b."""
+    a, b = ctx.real(a), ctx.real(b)
     if a <= 0 or b <= 0:
         raise ValueError("agm requires positive operands")
-    tol = ctx.eps * max(mp.mpf(1), a, b)
-    # a few linear steps close any exponent gap, then convergence is quadratic
-    max_iter = 64 + 4 * int(math.log2(ctx.working_digits + 16))
-    for _ in range(max_iter):
-        if abs(a - b) < tol:
-            return (a + b) / 2
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-    raise ArithmeticError("AGM iteration failed to converge")
+    a, b, _ = agm_converged(a, b, 0, ctx)
+    return (a + b) / 2
 
 
-def agm_sums(b, t, mp: MPContext):
-    """Successive (a_n, b_n, t_n) of the AGM of a_0 = 1 and b_0 = b with
-    Legendre's sum t_n = t - sum_(k=1..n) 2^(k-1) c_k^2, c_k = a_(k-1) - a_k."""
-    a, p = mp.mpf(1), mp.mpf(1)
+def agm_sums(a, b, t, mp: MPContext):
+    """Successive (a_n, b_n, t_n), n >= 1, of the AGM of a_0 = a and b_0 = b
+    with Legendre's sum t_n = t - sum_(k=1..n) 2^(k-1) c_k^2, c_k = a_(k-1) - a_k."""
+    p = mp.mpf(1)
     while True:
         an = (a + b) / 2
         a, b, t, p = an, mp.sqrt(a * b), t - p * (a - an) ** 2, 2 * p
         yield a, b, t
 
 
+def agm_converged(a, b, t, ctx: PrecisionCtx):
+    """The first (a_n, b_n, t_n), n >= 0, with |a_n - b_n| < 10^(-working_digits)
+    max(1, a, b), as one ulp of a large result exceeds 10^(-working_digits).
+    After a few linear steps convergence is quadratic; the cap is a safety net."""
+    tol = ctx.eps * max(ctx.mp.mpf(1), a, b)
+    steps = agm_sums(a, b, t, ctx.mp)
+    for _ in range(64 + 4 * int(math.log2(ctx.working_digits + 16))):
+        if abs(a - b) < tol:
+            return a, b, t
+        a, b, t = next(steps)
+    raise ArithmeticError("AGM iteration failed to converge")
+
+
 def _gauss_legendre_iterates(mp: MPContext):
     """Successive Gauss-Legendre approximations (a+b)^2 / (4t) to pi."""
-    return ((a + b) ** 2 / (4 * t) for a, b, t in agm_sums(1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp))
+    return ((a + b) ** 2 / (4 * t) for a, b, t in agm_sums(mp.mpf(1), 1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp))
 
 
 def pi_reference(ctx: PrecisionCtx):
     """pi via the Gauss-Legendre AGM iteration, computed once per working
-    precision.
-
-    This is the package's only source of known pi; in particular it is
-    independent of the hypergeometric identities whose checks compare
-    against it.
-    """
+    precision: the package's only source of known pi, independent of the
+    hypergeometric identities whose checks compare against it."""
     return _pi(ctx.working_digits)
 
 

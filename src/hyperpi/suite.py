@@ -27,7 +27,7 @@ from .legendre import (
     homothety_ratios,
     weierstrass_from_lambda,
 )
-from .modular import _eta_series, _lambda_series, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
+from .modular import _eta_series, _lambda_series, _raw_point, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference
 from .reports import FormulaReport, make_report
 
@@ -102,7 +102,7 @@ def functional_equation_reports(digits: int, seed: int = 0) -> list[FormulaRepor
     for k in range(FUNCTIONAL_EQUATION_POINTS):
         tau = mp.mpc(mp.mpf(repr(rng.uniform(-1.0, 1.0))), mp.mpf(repr(rng.uniform(0.6, 3.0))))
         tag = f"tau#{k:02d} seed={seed}"
-        t, shifted, inverted = (tau_point(z, ctx) for z in (tau, tau + 1, -1 / tau))
+        t, shifted, inverted = (_raw_point(z, ctx) for z in (tau, tau + 1, -1 / tau))
         eta_t = _eta_series(t, ctx)
         rhs = mp.exp(mp.mpc(0, pi / 12)) * eta_t
         reports.append(make_report(f"eta-T {tag}", _eta_series(shifted, ctx), rhs, ctx))

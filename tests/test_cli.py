@@ -204,7 +204,9 @@ def _eval_anywhere(fn, point, digits, oracle=None):
     ctx = ctx_new(digits)
     got = parse_complex(out.getvalue().strip(), ctx)
     if oracle is not None:
-        expected = oracle(parse_complex(point, ctx))
+        # the oracle at the decimal tau, as eval reads it: 500 more digits
+        # hold every point here (|tau| <= 1e400) to far more than it needs
+        expected = oracle(parse_complex(point, ctx_new(digits + 500)))
         with mpmath.workdps(digits + 40):
             scale = abs(expected) if fn in ("eta", "delta", "lambda") else max(1, abs(expected))
             assert abs(mpmath.mpc(got) - expected) <= mpmath.mpf(10) ** (5 - digits) * scale
@@ -225,6 +227,23 @@ class TestExtremeTau:
                 return lam / (lam - 1)
 
         _eval_anywhere("lambda", "0.3+1e-12i", 30, oracle)
+
+    @pytest.mark.parametrize("fn,point", [("lambda", "0.3+1e-12i"), ("eta", "0.3+1e-30i")])
+    def test_thirty_digits_are_the_first_of_sixty(self, capsys, fn, point):
+        # tau0 moves by |dtau| Im(tau0)/Im(tau) there, so a tau rounded to 30
+        # digits before the reduction would give about 19 and 0 right digits
+        values = []
+        for digits in (30, 60):
+            code, out, _ = run(capsys, "eval", "--fn", fn, f"--tau={point}", "--digits", str(digits))
+            assert code == 0
+            values.append(out.strip())
+        with mpmath.workdps(80):
+            short, full = (mpmath.mpc(parse_complex(v, ctx_new(60))) for v in values)
+            # each printed part is rounded to 30 digits: half a unit of its
+            # last digit, and a little more for the value's own error
+            for part in ("real", "imag"):
+                a, b = getattr(short, part), getattr(full, part)
+                assert abs(a - b) <= abs(b) * mpmath.mpf("1e-29")
 
     @settings(max_examples=200, deadline=None)
     @given(fn=st.sampled_from(TAU_FNS), re=st.floats(-10, 10), log10_im=st.floats(-40, 40))

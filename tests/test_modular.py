@@ -25,7 +25,7 @@ from hyperpi import (
     tau_point,
 )
 from hyperpi import modular, suite
-from hyperpi.modular import _eisenstein_series, _lambda_series, _lambda_x_series, _lambert_count
+from hyperpi.modular import _eisenstein_series, _lambda_series, _lambert_count, _raw_point
 
 from _oracles import (
     ETA_I,
@@ -64,6 +64,27 @@ class TestTauPoint:
         assert t.q > 0
         assert abs(t.q - ctx50.mp.exp(-4 * pi_reference(ctx50))) < ctx50.eps
 
+    def test_the_nome_is_that_of_tau0(self, ctx50):
+        # 0.3 + 0.2i = -1/(tau0 - 2), tau0 = -0.31 + 1.54i
+        t = tau_point(_mpc(ctx50, "0.3", "0.2"), ctx50)
+        assert t.word.letters == (("T", -2), ("S", 1))
+        assert abs(t.tau0 - (2 - 1 / t.tau)) < ctx50.eps * 10
+        assert abs(t.x - ctx50.mp.expjpi(t.tau0)) < ctx50.eps
+
+    def test_one_reduction_and_one_nome_per_point(self, ctx50, monkeypatch):
+        # tau_point reduces and forms the nome of tau0; eta, the E_k, Delta
+        # and lambda read both from the point
+        calls = {"reduce_tau": 0, "_nome": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(modular, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(modular, name, counted)
+        t = tau_point(_mpc(ctx50, "0.3", "0.2"), ctx50)
+        for fn in (eta, eisenstein_all, delta_tau, lambda_tau):
+            fn(t, ctx50)
+        assert calls == {"reduce_tau": 1, "_nome": 1}
+
 
 class TestEta:
     def test_frozen_value_at_i(self, ctx50):
@@ -73,7 +94,7 @@ class TestEta:
     @pytest.mark.parametrize("tau", [(0, 1), ("0.3", "0.8"), (1, 2)])
     def test_pentagonal_series_vs_product(self, ctx50, tau):
         t = tau_point(_mpc(ctx50, *tau), ctx50)
-        assert abs(eta(t, ctx50) - eta_product(t, ctx50)) < ctx50.real("1e-58")
+        assert abs(eta(t, ctx50) - eta_product(_raw_point(t.tau, ctx50), ctx50)) < ctx50.real("1e-58")
 
     def test_translation_equation_at_2i(self, ctx50):
         mp = ctx50.mp
@@ -144,7 +165,7 @@ class TestEisensteinKernel:
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
         e4, e6 = eisenstein_theta_forms(t.tau, 300)
-        for values in (_eisenstein_series(t, ctx), eisenstein_all(t, ctx)):
+        for values in (_eisenstein_series(_raw_point(t.tau, ctx).q, ctx), eisenstein_all(t, ctx)):
             _assert_matches(values[1], e4, ctx)
             _assert_matches(values[2], e6, ctx)
 
@@ -153,7 +174,7 @@ class TestEisensteinKernel:
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
         e2 = e2_divisor_sum(t.tau, 300)
-        _assert_matches(_eisenstein_series(t, ctx)[0], e2, ctx)
+        _assert_matches(_eisenstein_series(_raw_point(t.tau, ctx).q, ctx)[0], e2, ctx)
         _assert_matches(eisenstein(2, t, ctx), e2, ctx)
 
     @pytest.mark.parametrize("digits", [30, 100])
@@ -193,7 +214,7 @@ class TestEisensteinKernel:
         # the bound (N+1)^(k-1) r^(N+1) / ((1-r)(1-rho)) against
         # sum_(n>N) n^(k-1) |q^n / (1 - q^n)|, both at twice the precision
         ctx = ctx_new(digits)
-        t = tau_point(_mpc(ctx, "0.3", im), ctx)
+        t = _raw_point(_mpc(ctx, "0.3", im), ctx)
         with mpmath.workdps(2 * ctx.working_digits):
             q = mpmath.mpc(t.q)
             r = abs(q)
@@ -265,7 +286,7 @@ class TestLambda:
         # x = e^(-4 pi) ~ 3.5e-6, so the omitted x^70 term is below 1e-360
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, 0, 4), ctx)
-        prefix = sum(c * t.x**k for k, c in enumerate(_lambda_x_series(70)))
+        prefix = sum(c * t.x ** (k + 1) for k, c in enumerate(lambda_q_coeffs(69)))
         assert abs(lambda_tau(t, ctx) - prefix) < ctx.real("1e-295")
 
     @pytest.mark.parametrize("digits", [50, 300])
@@ -286,8 +307,11 @@ class TestLambdaCoeffs:
     def test_single(self):
         assert lambda_q_coeffs(1) == [16]
 
-    def test_constant_term_vanishes(self):
-        assert _lambda_x_series(5)[0] == 0
+    def test_constant_term_vanishes(self, ctx50):
+        # the list starts at x^1: at x = e^(-40 pi), lambda / x is 16 to
+        # within 128 x, where a constant term would dominate
+        t = tau_point(_mpc(ctx50, 0, 40), ctx50)
+        assert abs(lambda_tau(t, ctx50) / t.x - lambda_q_coeffs(1)[0]) < ctx50.real("1e-50")
 
     def test_frozen_twelve(self):
         assert lambda_q_coeffs(12) == LAMBDA_X_COEFFS
@@ -304,8 +328,9 @@ class TestLambdaReduced:
         assert abs(lhs - rhs) < ctx50.real("1e-55")
 
     def test_agrees_with_direct_in_range(self, ctx50):
-        t = tau_point(_mpc(ctx50, 1, 1), ctx50)
-        assert abs(lambda_tau(t, ctx50) - _lambda_series(t, ctx50)) < ctx50.real("1e-55")
+        tau = _mpc(ctx50, 1, 1)
+        lam = lambda_tau(tau_point(tau, ctx50), ctx50)
+        assert abs(lam - _lambda_series(_raw_point(tau, ctx50), ctx50)) < ctx50.real("1e-55")
 
     def test_near_zero_tends_to_one(self, ctx50):
         lam = lambda_tau(tau_point(_mpc(ctx50, 0, "0.125"), ctx50), ctx50)
@@ -323,33 +348,34 @@ class TestLambdaReduced:
         points += [("1e30", "0.3"), ("0.3", "1e-30"), ("-7.25", "1e-12")]
         for re, im in points:
             tau = _mpc(ctx50, re, im)
-            reduced, word = reduce_tau(tau_point(tau, ctx50), ctx50)
-            assert abs(reduced.tau.real) <= 0.5 and abs(reduced.tau) >= 1 - ctx50.eps
-            assert abs(word.apply_to_tau(reduced.tau) - tau) < ctx50.real("1e-50") * abs(tau)
-            a, b, c, d = word.matrix()
+            t = tau_point(tau, ctx50)
+            assert abs(t.tau0.real) <= 0.5 and abs(t.tau0) >= 1 - ctx50.eps
+            a, b, c, d = t.word.matrix()
             assert a * d - b * c == 1
-            moebius = (a * reduced.tau + b) / (c * reduced.tau + d)
+            moebius = (a * t.tau0 + b) / (c * t.tau0 + d)
             assert abs(moebius - tau) < ctx50.real("1e-50") * abs(tau)
 
     def test_huge_shift_is_one_run(self, ctx50):
         t = tau_point(_mpc(ctx50, "1e30", 2), ctx50)
-        reduced, word = reduce_tau(t, ctx50)
-        assert word.letters == (("T", 10**30),)
-        assert reduced.tau == _mpc(ctx50, 0, 2)
+        assert t.word.letters == (("T", 10**30),)
+        assert t.tau0 == _mpc(ctx50, 0, 2)
 
     def test_reduced_point_is_returned_unchanged(self, ctx50):
+        # tau = (3 + 20i)/10, exactly
+        (re, im, den), word = reduce_tau(3, 20, 10)
+        assert word == TransformWord(()) and (Fraction(re, den), Fraction(im, den)) == (Fraction(3, 10), 2)
         t = tau_point(_mpc(ctx50, "0.3", 2), ctx50)
-        assert reduce_tau(t, ctx50) == (t, TransformWord(()))
+        assert t.word == TransformWord(()) and t.tau0 == t.tau
 
     def test_malformed_run_rejected(self):
         for letters in ([("T^-1", 1)], [("S", 0.5)]):
             with pytest.raises(ValueError):
                 TransformWord(tuple(letters))
 
-    def test_step_cap_raises(self, ctx50):
-        t = tau_point(_mpc(ctx50, 0, "0.1"), ctx50)
+    def test_step_cap_raises(self, ctx50, monkeypatch):
+        monkeypatch.setattr(modular, "MAX_INVERSIONS", 0)
         with pytest.raises(ReductionError):
-            reduce_tau(t, ctx50, max_steps=0)
+            tau_point(_mpc(ctx50, 0, "0.1"), ctx50)
 
     @pytest.mark.parametrize(
         "tau",
@@ -372,10 +398,10 @@ class TestLambdaReduced:
         rng = random.Random(seed)
         for _ in range(5):
             tau = _mpc(ctx50, repr(rng.uniform(-1, 1)), repr(rng.uniform(0.6, 3)))
-            lam = _lambda_series(tau_point(tau, ctx50), ctx50)
-            shift = _lambda_series(tau_point(tau + 1, ctx50), ctx50)
+            lam = _lambda_series(_raw_point(tau, ctx50), ctx50)
+            shift = _lambda_series(_raw_point(tau + 1, ctx50), ctx50)
             assert abs(shift - lam / (lam - 1)) < ctx50.real("1e-45")
-            inv = _lambda_series(tau_point(-1 / tau, ctx50), ctx50)
+            inv = _lambda_series(_raw_point(-1 / tau, ctx50), ctx50)
             assert abs(inv - (1 - lam)) < ctx50.real("1e-45")
 
     def test_suite_reports_sum_the_series_at_both_points(self, monkeypatch):
