@@ -18,43 +18,44 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .cm import (
-    CMQuadratic,
-    identity_check,
-    pi_from_identity,
-    pi_reference_digits,
-    quasiperiod_relation_check,
-    theorem_general_check,
-)
 from .errors import IndeterminateFormError, ReductionError, RegionError
-from .hypergeometric import legendre_F, legendre_F2
-from .legendre import normalized_j
-from .modular import delta_tau, eisenstein, eta, lambda_tau, s2, tau_point
 from .numerics import ctx_new, format_value, parse_complex
-from .reports import FormulaReport
-from .suite import report_acceptable, selftest_reports
+
+if TYPE_CHECKING:
+    from .reports import FormulaReport
+
+# Each subcommand imports the modules it runs when it runs: pi and verify
+# load no modular, legendre or suite, and eval loads the one module of its
+# function.
+
+
+def _module(name: str):
+    """hyperpi.<name>, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 # --fn name -> {point option: evaluator of the parsed point}; j takes either
-# point and prefers --lambda.  The evaluators look each function up by name
-# when called, so a wrapper patched into this module (perfbench's tracer)
-# sees the call.
+# point and prefers --lambda.  The evaluators look each function up in its
+# module when called, so a wrapper patched into that module (perfbench's
+# tracer) sees the call.
 _EVAL_FNS = {
-    "lambda": {"tau": lambda t, ctx: lambda_tau(t, ctx)},
-    "eta": {"tau": lambda t, ctx: eta(t, ctx)},
-    "e2": {"tau": lambda t, ctx: eisenstein(2, t, ctx)},
-    "e4": {"tau": lambda t, ctx: eisenstein(4, t, ctx)},
-    "e6": {"tau": lambda t, ctx: eisenstein(6, t, ctx)},
-    "delta": {"tau": lambda t, ctx: delta_tau(t, ctx)},
-    "j": {"lambda": lambda lam, ctx: normalized_j(lam),
-          "tau": lambda t, ctx: normalized_j(lambda_tau(t, ctx))},
-    "s2": {"tau": lambda t, ctx: s2(t, ctx)},
-    "F": {"lambda": lambda lam, ctx: legendre_F(lam, ctx)},
-    "F2": {"lambda": lambda lam, ctx: legendre_F2(lam, ctx)},
+    "lambda": {"tau": lambda t, ctx: _module("modular").lambda_tau(t, ctx)},
+    "eta": {"tau": lambda t, ctx: _module("modular").eta(t, ctx)},
+    "e2": {"tau": lambda t, ctx: _module("modular").eisenstein(2, t, ctx)},
+    "e4": {"tau": lambda t, ctx: _module("modular").eisenstein(4, t, ctx)},
+    "e6": {"tau": lambda t, ctx: _module("modular").eisenstein(6, t, ctx)},
+    "delta": {"tau": lambda t, ctx: _module("modular").delta_tau(t, ctx)},
+    "j": {"lambda": lambda lam, ctx: _module("legendre").normalized_j(lam),
+          "tau": lambda t, ctx: _module("legendre").normalized_j(_module("modular").lambda_tau(t, ctx))},
+    "s2": {"tau": lambda t, ctx: _module("modular").s2(t, ctx)},
+    "F": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F(lam, ctx)},
+    "F2": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F2(lam, ctx)},
 }
 
 
@@ -92,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_reports(reports: list[FormulaReport], as_json: bool) -> int:
+    from .reports import report_acceptable
+
     ok = True
     for report in reports:
         print(report.to_json() if as_json else report.summary_line())
@@ -127,7 +130,7 @@ def _run_eval(args) -> int:
         # read it again with those digits added, bounded by mag, as |x| <= 2^mag(x) < 4 |x|
         bits = max(0, ctx.mp.mag(z)) + 2 * max(0, 2 - ctx.mp.mag(z.imag))
         z = _parse_point(point, ctx_new(args.digits + math.ceil(bits * math.log10(2)) + 1))
-    value = evaluators[option](tau_point(z, ctx) if option == "tau" else z, ctx)
+    value = evaluators[option](_module("modular").tau_point(z, ctx) if option == "tau" else z, ctx)
 
     text = format_value(value, ctx, args.digits)
     if args.json:
@@ -138,12 +141,16 @@ def _run_eval(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .cm import identity_check
+
     ctx = ctx_new(args.digits)
     which = [args.identity] if args.identity else [1, 2]
     return _emit_reports([identity_check(w, ctx) for w in which], args.json)
 
 
 def _run_pi(args) -> int:
+    from .cm import pi_from_identity, pi_reference_digits
+
     which = 1 if args.method == "identity1" else 2
     digits = pi_from_identity(which, args.digits)
     if digits != pi_reference_digits(args.digits):
@@ -154,6 +161,8 @@ def _run_pi(args) -> int:
 
 
 def _run_cm_report(args) -> int:
+    from .cm import CMQuadratic, quasiperiod_relation_check, theorem_general_check
+
     try:
         a, b, c = (int(part) for part in args.abc.split(","))
         quad = CMQuadratic(a, b, c)
@@ -164,6 +173,8 @@ def _run_cm_report(args) -> int:
 
 
 def _run_selftest(args) -> int:
+    from .suite import selftest_reports
+
     return _emit_reports(selftest_reports(args.digits, args.seed), args.json)
 
 

@@ -31,31 +31,40 @@ identities under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hypergeometric import legendre_F_F2
-from .legendre import quasiperiod_bruns
-from .modular import TauPoint, lambda_tau, s2_bracket, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference, truncated_digits
 from .reports import FormulaReport, make_report
 
+if TYPE_CHECKING:
+    from .modular import TauPoint
 
-@dataclass(frozen=True)
-class CMQuadratic:
-    """Integer triple (a, b, c) of a tau quadratic a tau^2 + b tau + c = 0."""
+# The CM-point functions import modular and legendre when called, so the pi
+# engine and the identity checks load neither.
 
+
+class _QuadraticFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if math.gcd(math.gcd(self.a, self.b), self.c) != 1:
+
+class CMQuadratic(_QuadraticFields):
+    """Integer triple (a, b, c) of a tau quadratic a tau^2 + b tau + c = 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c):
+        self = super().__new__(cls, a, b, c)
+        if math.gcd(math.gcd(a, b), c) != 1:
             raise ValueError("a, b, c must be mutually coprime")
-        if self.a <= 0:
+        if a <= 0:
             raise ValueError("a must be positive")
         if self.d <= 0:
             raise ValueError("4ac - b^2 must be positive (upper-half-plane root)")
+        return self
 
     @property
     def d(self) -> int:
@@ -67,6 +76,8 @@ class CMQuadratic:
 
 def cm_tau(q: CMQuadratic, ctx: PrecisionCtx) -> TauPoint:
     """tau = (-b + i sqrt(d)) / (2a)."""
+    from .modular import tau_point
+
     mp = ctx.mp
     sqrt_d = mp.sqrt(mp.mpf(q.d))
     return tau_point(mp.mpc(mp.mpf(-q.b) / (2 * q.a), sqrt_d / (2 * q.a)), ctx)
@@ -78,12 +89,17 @@ def combined_s2_term(t: TauPoint, F, ctx: PrecisionCtx):
     F must be 2F1(1/2,1/2;1;lambda(tau)).  Finite at the zeros of E6 where
     the raw E4/E6 form of s2 is indeterminate.
     """
+    from .modular import s2_bracket
+
     return s2_bracket(t, ctx) / (3 * F * F)
 
 
 def _cm_point(q: CMQuadratic, ctx: PrecisionCtx):
     """(tau, lambda(tau), PeriodPair at lambda, combined s2 term) at the CM
     point of q; the pair carries F(lambda) and F2(lambda)."""
+    from .legendre import quasiperiod_bruns
+    from .modular import lambda_tau
+
     t = cm_tau(q, ctx)
     lam = lambda_tau(t, ctx)
     pair = quasiperiod_bruns(lam, ctx)

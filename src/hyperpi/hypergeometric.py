@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import RegionError
 from .numerics import PrecisionCtx, agm, fixed_point
@@ -38,21 +38,22 @@ DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Exact rational parameters (a, b; c) of a 2F1 series."""
-
+class _HypFields(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+
+class HypParams(_HypFields):
+    """Exact rational parameters (a, b; c) of a 2F1 series."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c):
+        self = super().__new__(cls, Fraction(a), Fraction(b), Fraction(c))
         if self.c.denominator == 1 and self.c <= 0:
             raise ValueError("c must not be zero or a negative integer")
+        return self
 
     def shifted(self) -> "HypParams":
         return HypParams(self.a + 1, self.b + 1, self.c + 1)

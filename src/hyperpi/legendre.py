@@ -22,8 +22,8 @@ depend on them (they are verifications, not inputs).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BranchWarning
 from .hypergeometric import legendre_F, legendre_F_F2
@@ -38,8 +38,7 @@ from .numerics import PrecisionCtx, agm_converged, format_value, pi_reference
 from .reports import FormulaReport, make_report
 
 
-@dataclass(frozen=True)
-class LegendreCurve:
+class LegendreCurve(NamedTuple):
     lam: object
     g2: object
     g3: object
@@ -82,8 +81,7 @@ def normalized_j(lam):
     return weierstrass_from_lambda(lam).j
 
 
-@dataclass(frozen=True)
-class PeriodPair:
+class PeriodPair(NamedTuple):
     """First period Omega1 and first quasi-period H1 of the Weierstrass model,
     with the values F(lambda) and F2(lambda) they were built from."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IndeterminateFormError, ReductionError
 from .numerics import PrecisionCtx, ctx_new, fixed_point, pi_reference
@@ -27,18 +27,22 @@ from .numerics import PrecisionCtx, ctx_new, fixed_point, pi_reference
 MAX_INVERSIONS = 1000  # reduce_tau's cap
 
 
-@dataclass(frozen=True)
-class TransformWord:
+class _WordFields(NamedTuple):
+    letters: tuple[tuple[str, int], ...]
+
+
+class TransformWord(_WordFields):
     """Runs (letter, count) that map the reduced point back to the original
     one, first run first: ("T", m) is tau -> tau + m for an integer m, and
     ("S", n) is tau -> -1/tau applied n times."""
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for letter, count in self.letters:
+    def __new__(cls, letters):
+        for letter, count in letters:
             if letter not in ("T", "S") or not isinstance(count, int):
                 raise ValueError(f"not a run: {(letter, count)!r}")
+        return super().__new__(cls, letters)
 
     def apply_to_lambda(self, lam):
         # Carry the pair (x, 1-x): S swaps it, and T^m acts as x -> x/(x-1),
@@ -62,8 +66,7 @@ class TransformWord:
         return a, b, c, d
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(NamedTuple):
     """tau (rounded to ctx) and its reduction: word maps tau0 = (re + i im)/den,
     `reduced` = (re, im, den) in exact integers, from the fundamental domain
     back to tau; x = e^(pi i tau0) and q = x^2 are the nome of tau0, not of

@@ -29,7 +29,7 @@ from .legendre import (
 )
 from .modular import _eta_series, _lambda_series, _raw_point, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference
-from .reports import FormulaReport, make_report
+from .reports import FormulaReport, make_report, report_acceptable  # report_acceptable: re-exported
 
 CM_TRIPLES = (CMQuadratic(1, 0, 1), CMQuadratic(1, -2, 2), CMQuadratic(1, 0, 4))
 
@@ -62,7 +62,6 @@ def lambda_coeff_report() -> FormulaReport:
         abs_error="0.0" if got == LAMBDA_PREFIX else "1.0",
         digits_requested=6,
         passed=got == LAMBDA_PREFIX,
-        branch_flags=[],
     )
 
 
@@ -208,20 +207,9 @@ def pi_engine_reports(digits: int) -> list[FormulaReport]:
                 abs_error=ctx.mp.nstr(err, 3),
                 digits_requested=digits,
                 passed=got == reference,
-                branch_flags=[],
             )
         )
     return reports
-
-
-def report_acceptable(report: FormulaReport) -> bool:
-    """Pass, except the around-one identity may instead carry a quantified
-    branch-discrepancy flag (its principal-branch convention is open)."""
-    if report.passed:
-        return True
-    return report.label.startswith("around-one-identity") and any(
-        "measured lhs/rhs" in flag for flag in report.branch_flags
-    )
 
 
 def selftest_reports(digits: int, seed: int = 0) -> list[FormulaReport]:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperpi
-from hyperpi import cli, ctx_new, parse_complex, pi_reference_digits
+from hyperpi import ctx_new, parse_complex, pi_reference_digits
 from hyperpi.cli import _EVAL_FNS, main
 from hyperpi.suite import agm_oracle_reports, functional_equation_reports
 
@@ -163,14 +164,18 @@ class TestEvalTable:
 
     def test_evaluators_call_the_module_names(self, capsys, monkeypatch):
         # perfbench's tracer wraps a function by patching the module names
-        # that refer to it, so the table must call through those names
+        # that refer to it, so the table must look each function up in its
+        # module at call time
         called = []
-        for name in ("lambda_tau", "eta", "eisenstein", "delta_tau", "normalized_j", "s2",
-                     "legendre_F", "legendre_F2"):
-            def wrapper(*args, _name=name, _fn=getattr(cli, name)):
+        for module, name in (("modular", "lambda_tau"), ("modular", "eta"), ("modular", "eisenstein"),
+                             ("modular", "delta_tau"), ("modular", "s2"), ("legendre", "normalized_j"),
+                             ("hypergeometric", "legendre_F"), ("hypergeometric", "legendre_F2")):
+            namespace = importlib.import_module(f"hyperpi.{module}")
+
+            def wrapper(*args, _name=name, _fn=getattr(namespace, name)):
                 called.append(_name)
                 return _fn(*args)
-            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(namespace, name, wrapper)
         for fn, option in EVAL_CASES:
             called.clear()
             code, _, _ = run(capsys, "eval", "--fn", fn, f"--{option}={EVAL_POINTS[option]}", "--digits", "20")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import mpmath
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hyperpi import (
     CMQuadratic,
     FormulaReport,
+    RegionError,
     cm_tau,
     combined_s2_term,
     identity_check,
@@ -124,6 +126,45 @@ class TestMasterFormula:
         t = cm_tau(quad, ctx)
         pi = pi_reference(ctx)
         assert abs(thm - quasi / (t.im * pi * pi)) < ctx.real("1e-40")
+
+
+def _reduced_forms(d_max: int) -> list[tuple[int, int, int]]:
+    """Every reduced primitive form (a, b, c) with d = 4ac - b^2 <= d_max:
+    |b| <= a <= c, with b >= 0 where |b| = a or a = c.  Then d >= 3a^2."""
+    forms = []
+    for a in range(1, math.isqrt(d_max // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c = a
+            while 4 * a * c - b * b <= d_max:
+                if math.gcd(a, b, c) == 1 and not (c == a and b < 0):
+                    forms.append((a, b, c))
+                c += 1
+    return forms
+
+
+CM_FORMS = _reduced_forms(100)
+# lambda(tau) at d = 3 has modulus 1, outside both 2F1 regions
+OUTSIDE_REGIONS = (1, 1, 1)
+
+
+class TestEveryCMForm:
+    """The master formula and the quasi-period relation at each CM point of
+    discriminant -d, d <= 100: one point per class of forms."""
+
+    def test_count(self):
+        # the class numbers h(-d) of the d <= 100 with d = 0 or 3 mod 4 sum to 132
+        assert len(CM_FORMS) == 132
+
+    @pytest.mark.parametrize("abc", CM_FORMS, ids=lambda abc: ",".join(map(str, abc)))
+    def test_theorem_and_quasiperiod_relation(self, ctx50, abc):
+        quad = CMQuadratic(*abc)
+        for check in (theorem_general_check, quasiperiod_relation_check):
+            if abc == OUTSIDE_REGIONS:
+                with pytest.raises(RegionError):
+                    check(quad, ctx50)
+            else:
+                report = check(quad, ctx50)
+                assert report.passed, report.summary_line()
 
 
 class TestIdentities:
