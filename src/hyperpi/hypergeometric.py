@@ -12,16 +12,18 @@ Anything else raises RegionError; no silent analytic continuation.
 One fixed-point kernel, _series, sums every series, with z exactly
 (re + i im) / (2^s d) in integers: d = 1 for an mpf or mpc z, and a
 Fraction z (the 1/pi identities use z = 1/2 and z = -1, whose Pfaff image
-is 1/2) keeps its denominator, so it is never rounded.  The same loop sums
-the terms t_k and S1 = sum k t_k, so one pass gives 2F1 and its derivative
-S1/z = (ab/c) 2F1(a+1, b+1; c+1; z).  Terms are counted on that derivative
-series, whose tail dominates: from a K found in closed form its term ratio
-stays below rho = (1+|z|)/2, so the tail after a term t is below
-|t| rho / (1-rho), for every rational (a, b; c), and the count comes from K
-exact ratios and a bisection on lgamma, not a walk over all terms.  Guard
-bits keep the floor roundings of both sums below tail_tol / 2, so each is
-within tail_tol = 10^-(working+5) before its one rounding to working
-precision.  The Pfaff prefactor is an mpf power.
+is 1/2) keeps its denominator, so it is never rounded.  The loop sums the
+derivative series (DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c)
+2F1(a+1, b+1; c+1; z), as u_k = t_(k+1) / z with U0 = sum u_k and
+U1 = sum (k+1) u_k: U1 is the derivative and 1 + z U0 the value, so one
+pass gives both.  Terms are counted on that derivative series, whose tail
+dominates: from a K found in closed form its term ratio stays below
+rho = (1+|z|)/2, so the tail after a term t is below |t| rho / (1-rho), for
+every rational (a, b; c), and the count comes from K exact ratios and a
+bisection on lgamma, not a walk over all terms.  Guard bits keep the floor
+roundings of both sums below tail_tol / 2, so each is within
+tail_tol = 10^-(working+5) before its one rounding to working precision.
+The Pfaff prefactor is an mpf power.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, agm, fixed_point
+from .numerics import PrecisionCtx, agm, fixed_point, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
@@ -72,11 +74,11 @@ def _as_scalar(z, ctx: PrecisionCtx):
 
 
 def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
-    """(n, bits): _series sums t_0 ... t_n at a z with log|z| = log_az to
-    `bits` fractional bits.
+    """(n, bits): _series sums u_0 ... u_(n-1), u_k = t_(k+1) / z, at a z with
+    log|z| = log_az to `bits` fractional bits.
 
     N counts the derivative series (a', b'; c') = (a+1, b+1; c+1), whose
-    terms t'_k = (k+1) t_(k+1) c / (abz) have the dominant tail: with n =
+    terms t'_k = (k+1) u_k c / (ab) have the dominant tail: with n =
     max(N + 1, |ab/c|) the derivative's tail is |ab/c| times theirs after
     t'_N, and the value's at most |abz/c| / (n+1) times that.  A series
     with a' or b' a non-positive integer -m ends at N = m + 1.  Otherwise
@@ -88,14 +90,15 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     falls, and bisection finds the first N > max(K, 2) with
     |t'_N| rho / (1-rho) <= tail_tol / 1000, a bound on the tail after t'_N.
 
-    Two floors move each component of term k+1 off the exact product of
-    term k and its ratio by less than 2 units of 2^-bits, and the later
-    ratios carry that on, multiplied by at most e^growth, the largest rise
-    of |t'_k| (reached by K, as the terms fall after it), as
-    t_m / t_j = (t'_(m-1) / t'_(j-1)) j / m.  So the sum misses by less than
-    3 n^2 e^growth 2^-bits, S1 = sum k t_k by less than 3 n^3 e^growth 2^-bits,
-    and S1 / z, floored once more, by less than 4 n^3 e^growth 2^-bits / |z|,
-    which `bits` keeps below tail_tol / 2.
+    Two floors move each component of u_(k+1) off the exact product of u_k
+    and its ratio by less than 2 units of 2^-bits, and the later ratios
+    carry an error made at u_j on to u_m multiplied by
+    |u_m / u_j| = |t'_m / t'_j| (j+1) / (m+1) <= e^growth, where growth is
+    the largest rise of log|t'_k| (reached by K, as the terms fall after it).
+    So U0 = sum u_k misses by less than 2 n^2 e^growth 2^-bits and
+    U1 = sum (k+1) u_k by less than 4 n^3 e^growth 2^-bits; as |z| < 1, the
+    two floors of 1 + z U0 keep the value within the same bound, which
+    `bits` keeps below tail_tol / 2.
     """
     q = p.shifted()
     cap = int(80 * (ctx.working_digits + 10)) + 200  # the most terms before ArithmeticError
@@ -135,9 +138,7 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     if count > cap:
         raise ArithmeticError(f"2F1 series did not meet tolerance in {cap} terms")
     n = max(count + 1, math.ceil(abs(p.a * p.b / p.c)))
-    # S1 / z needs no division at z = 0, where S1 = 0
-    log_inv_z = -log_az if log_az > -math.inf else 0.0
-    error_bits = math.log2(4 * n**3) + (growth + log_inv_z) / math.log(2)
+    error_bits = math.log2(4 * n**3) + growth / math.log(2)
     # 2 more bits cover the float rounding of the count
     return n, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
 
@@ -146,47 +147,40 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z,
     summed in fixed point; both are mpfs for a real z, mpcs for an mpc z.
 
-    z is exactly (zr + i zi) / (2^s d), so with r(k) = (a+k)(b+k)/((c+k)(k+1))
-    cleared of denominators each term is one integer product, a shift and a
-    division by a small integer, kept to `bits` fractional bits (_plan
-    bounds the error); a real z skips the imaginary products.  The same loop
-    sums S1 = sum k t_k, and the derivative is S1 / z, formed in integers.
-    Each sum is rounded once.
+    z is exactly (zr + i zi) / (2^s d), so with u_0 = ab/c and
+    u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each term
+    is one integer product, a shift and a division by a small integer, kept
+    to `bits` fractional bits (_plan bounds the error); a real z skips the
+    imaginary products.  The derivative is U1 = sum (k+1) u_k and the value
+    2^bits + z U0, U0 = sum u_k, formed with the exact z and floored once per
+    component.  Each is rounded once.
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
     zr, zi, s, d = fixed_point(z)
-    norm = zr * zr + zi * zi
-    n, bits = _plan(p, math.log(norm) / 2 - s * math.log(2) - math.log(d) if norm else -math.inf, ctx)
+    n, bits = _plan(p, log_abs(zr, zi, s, d), ctx)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
-    tr = total_r = 1 << bits
-    ti = total_i = s1_r = s1_i = 0
-    for k in range(n):
+    ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)
+    ui = sum_i = deriv_i = 0
+    for k in range(1, n):
         num = (an + k * ad) * (bn + k * bd) * cd
         den = (cn + k * cd) * (k + 1) * dd
         if zi:
             nr, ni = num * zr, num * zi
-            tr, ti = (tr * nr - ti * ni >> s) // den, (tr * ni + ti * nr >> s) // den
-            total_i += ti
-            s1_i += (k + 1) * ti
+            ur, ui = (ur * nr - ui * ni >> s) // den, (ur * ni + ui * nr >> s) // den
+            sum_i += ui
+            deriv_i += (k + 1) * ui
         else:
-            tr = (tr * (num * zr) >> s) // den
-        total_r += tr
-        s1_r += (k + 1) * tr
-    if zr or zi:
-        # S1 / z = S1 (zr - i zi) 2^s d / (zr^2 + zi^2)
-        scale = d << s
-        dr, di = (s1_r * zr + s1_i * zi) * scale // norm, (s1_i * zr - s1_r * zi) * scale // norm
-    else:
-        dr, di = math.floor(p.a * p.b / p.c * (1 << bits)), 0  # the derivative ab/c at z = 0
-    mp = ctx.mp
-
-    def rounded(re, im):
-        x = mp.ldexp(mp.mpf(re), -bits)
-        return mp.mpc(x, mp.ldexp(mp.mpf(im), -bits)) if hasattr(z, "_mpc_") else x
-
-    return rounded(total_r, total_i), rounded(dr, di), n
+            ur = (ur * (num * zr) >> s) // den
+        sum_r += ur
+        deriv_r += (k + 1) * ur
+    value_r = (1 << bits) + (sum_r * zr - sum_i * zi >> s) // d
+    value_i = (sum_r * zi + sum_i * zr >> s) // d
+    vr, vi, dr, di = (ctx.mp.ldexp(ctx.mp.mpf(x), -bits) for x in (value_r, value_i, deriv_r, deriv_i))
+    if hasattr(z, "_mpc_"):
+        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
+    return vr, dr, n
 
 
 def _hyp2f1_pair(p: HypParams, z, ctx: PrecisionCtx):

@@ -117,7 +117,7 @@ def _d_omega1_agm(lam, ctx: PrecisionCtx):
     """dOmega1/dlambda = 2 dK/dm = (E - (1-m) K) / (m (1-m)) at m = lambda from
     the AGM of 1 and sqrt(1-m) alone: Omega1 = 2K = pi / a_N and, by
     Legendre, E = K (1 - m/2 + t_N) with t = 0 in agm_sums."""
-    a, _, t = agm_converged(ctx.mp.mpf(1), ctx.mp.sqrt(1 - lam), 0, ctx)
+    a, _, t = agm_converged(ctx.mp.mpf(1), ctx.mp.sqrt(1 - lam), 0, ctx.mp)
     return pi_reference(ctx) / (2 * a) * (lam / 2 + t) / (lam * (1 - lam))
 
 

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, ctx_new, fixed_point, pi_reference
+from .numerics import PrecisionCtx, ctx_new, fixed_point, log_abs, pi_reference
 
 MAX_INVERSIONS = 1000  # reduce_tau's cap
 
@@ -257,9 +257,7 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
     once to working precision.
     """
     qr, qi, s, _ = fixed_point(q)
-    # s >= 2^1000 would overflow a float; such a q rounds to 0 or -u anyway,
-    # and capping s only raises r, which keeps every bound an upper bound
-    log_r = math.log(qr * qr + qi * qi) / 2 - min(s, 1 << 1000) * math.log(2)
+    log_r = log_abs(qr, qi, s)
     n_terms = _lambert_count(log_r, ctx)
     error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
     # 2 more bits cover the float rounding of error_bits and r
@@ -403,11 +401,19 @@ def _s2_bracket(e2, t: TauPoint, ctx: PrecisionCtx):
 
 def s2(t: TauPoint, ctx: PrecisionCtx):
     """s2(tau) = (E4/E6)(E2 - 3/(pi Im tau)), all three E_k from one pass;
-    indeterminate where E6 = 0."""
+    indeterminate where E6 = 0.  Near the orbit of i, where E6 and the bracket
+    both vanish, the pass is made again with the digits E6(tau0) lacks added."""
     e2, e4, e6 = eisenstein_all(t, ctx)
     if abs(e6) <= ctx.zero_tol:
         raise IndeterminateFormError(
             "E6(tau) vanishes here (e.g. tau = i, 1+i); s2 is 0/0 — "
             "use the combined form cm.combined_s2_term"
         )
-    return e4 / e6 * _s2_bracket(e2, t, ctx)
+    (re, im, den), (_, _, c, d), wide = t.reduced, t.word.matrix(), ctx
+    lost = math.ceil(1 - ctx.mp.mag(e6 / (c * t.tau0 + d) ** 6) * math.log10(2))
+    if lost > 1:  # tau0, its nome and Im(tau) = Im(tau0) / |c tau0 + d|^2 from the integers
+        wide = ctx_new(ctx.target_digits + lost)
+        tau0, x = _nome(re, im, den, wide)
+        t = t._replace(im=wide.mp.mpf(im * den) / ((c * re + d * den) ** 2 + (c * im) ** 2), tau0=tau0, x=x, q=x * x)
+        e2, e4, e6 = eisenstein_all(t, wide)
+    return _rounded(e4 / e6 * _s2_bracket(e2, t, wide), t, ctx)

@@ -184,6 +184,17 @@ def fixed_point(z):
     return re, im, s, 1
 
 
+def log_abs(re, im, s, d=1) -> float:
+    """log|z| of z = (re + i im) / (2^s d), read from fixed_point's integers;
+    -inf at z = 0.  s >= 2^1000 would overflow a float; such a z is far below
+    any tolerance, and capping s only raises the result, which keeps every
+    bound sized from it an upper bound."""
+    norm = re * re + im * im
+    if not norm:
+        return -math.inf
+    return math.log(norm) / 2 - min(s, 1 << 1000) * math.log(2) - math.log(d)
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ def agm(a, b, ctx: PrecisionCtx):
     a, b = ctx.real(a), ctx.real(b)
     if a <= 0 or b <= 0:
         raise ValueError("agm requires positive operands")
-    a, b, _ = agm_converged(a, b, 0, ctx)
+    a, b, _ = agm_converged(a, b, 0, ctx.mp)
     return (a + b) / 2
 
 
@@ -207,22 +218,17 @@ def agm_sums(a, b, t, mp: MPContext):
         yield a, b, t
 
 
-def agm_converged(a, b, t, ctx: PrecisionCtx):
-    """The first (a_n, b_n, t_n), n >= 0, with |a_n - b_n| < 10^(-working_digits)
-    max(1, a, b), as one ulp of a large result exceeds 10^(-working_digits).
+def agm_converged(a, b, t, mp: MPContext):
+    """The first (a_n, b_n, t_n), n >= 0, with |a_n - b_n| < 10^(-mp.dps)
+    max(1, a, b), as one ulp of a large result exceeds 10^(-mp.dps).
     After a few linear steps convergence is quadratic; the cap is a safety net."""
-    tol = ctx.eps * max(ctx.mp.mpf(1), a, b)
-    steps = agm_sums(a, b, t, ctx.mp)
-    for _ in range(64 + 4 * int(math.log2(ctx.working_digits + 16))):
+    tol = mp.mpf(10) ** (-mp.dps) * max(mp.mpf(1), a, b)
+    steps = agm_sums(a, b, t, mp)
+    for _ in range(64 + 4 * int(math.log2(mp.dps + 16))):
         if abs(a - b) < tol:
             return a, b, t
         a, b, t = next(steps)
     raise ArithmeticError("AGM iteration failed to converge")
-
-
-def _gauss_legendre_iterates(mp: MPContext):
-    """Successive Gauss-Legendre approximations (a+b)^2 / (4t) to pi."""
-    return ((a + b) ** 2 / (4 * t) for a, b, t in agm_sums(mp.mpf(1), 1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp))
 
 
 def pi_reference(ctx: PrecisionCtx):
@@ -234,16 +240,9 @@ def pi_reference(ctx: PrecisionCtx):
 
 @lru_cache(maxsize=16)
 def _pi(working_digits: int):
-    """pi in the mpmath context of these working digits (same key and cache
-    rule as _mp_context)."""
+    """pi = (a+b)^2 / (4t) from the AGM of 1 and 1/sqrt(2) with t_0 = 1/4, in
+    the mpmath context of these working digits (same key and cache rule as
+    _mp_context)."""
     mp = _mp_context(working_digits)
-    tol = mp.mpf(10) ** (-working_digits)
-    prev = None
-    max_iter = int(math.log2(working_digits * 4 + 16)) + 8
-    it = _gauss_legendre_iterates(mp)
-    for _ in range(max_iter):
-        cur = next(it)
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise ArithmeticError("Gauss-Legendre iteration failed to converge")
+    a, b, t = agm_converged(mp.mpf(1), 1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp)
+    return (a + b) ** 2 / (4 * t)

@@ -99,6 +99,12 @@ class TestEval:
         assert exc.value.code == 2
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fn", ["F", "F2"])
+    def test_lambda_with_a_400_digit_exponent(self, capsys, fn):
+        # log|lambda| overflows a float, and the series is 1 to 30 digits
+        code, out, _ = run(capsys, "eval", "--fn", fn, f"--lambda=0.5e-{10**399}", "--digits", "30")
+        assert (code, out.strip()) == (0, "1.0")
+
     def test_bad_tau_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "eta", "--tau", "nonsense")
         assert code == 2
@@ -249,6 +255,12 @@ class TestExtremeTau:
             for part in ("real", "imag"):
                 a, b = getattr(short, part), getattr(full, part)
                 assert abs(a - b) <= abs(b) * mpmath.mpf("1e-29")
+
+    @pytest.mark.parametrize("point", ["1.6650549875285193e-21+1.0i", "0.4+0.200000000000000000001i"])
+    def test_s2_near_a_zero_of_e6(self, point):
+        # E6 and E2 - 3/(pi Im tau) both vanish on the orbit of i (c = 0 and
+        # c = 2 here), so their quotient needs the digits E6 lacks
+        _eval_anywhere("s2", point, 30, lambda tau: _tau_oracle("s2", tau, 30))
 
     @settings(max_examples=200, deadline=None)
     @given(fn=st.sampled_from(TAU_FNS), re=st.floats(-10, 10), log10_im=st.floats(-40, 40))

@@ -18,7 +18,7 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, _series
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, _series, legendre_F_F2
 from hyperpi.numerics import ctx_new
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -57,9 +57,9 @@ def _against_mpmath(p, z, value, ctx):
 
 
 def _exact(x):
-    """An mpf as the Fraction it is exactly."""
+    """An mpf as the Fraction it is exactly (man_exp drops the sign)."""
     man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    return (-1) ** x._mpf_[0] * Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.fixture(scope="module")
@@ -236,10 +236,72 @@ class TestFixedPointRoute:
         num = math.prod(r.numerator for r in head) * bound.numerator * 10 ** (ctx50.working_digits + 5)
         assert abs(num) <= math.prod(r.denominator for r in head) * bound.denominator
 
-    @pytest.mark.parametrize("digits,plan", [(1000, (3395, 3423)), (2000, (6720, 6752)), (10000, (33296, 33334))])
+    @pytest.mark.parametrize("digits,plan", [(1000, (3395, 3422)), (2000, (6720, 6751)), (10000, (33296, 33333))])
     def test_pi_engine_plan_is_pinned(self, digits, plan):
         # the (terms, fixed-point bits) of F(1/2), the series both pi engines sum
         assert _plan(F_PARAMS, math.log(Fraction(1, 2)), ctx_new(digits)) == plan
+
+
+class TestTinyArgument:
+    """|z| far below every tolerance: the guard bits do not grow as |z| falls,
+    and F = F2 = 1 to working precision."""
+
+    @pytest.mark.parametrize("log10_az", [-30, -10**6])
+    def test_plan_bits_no_more_than_at_half(self, ctx30, log10_az):
+        bits = _plan(F_PARAMS, log10_az * math.log(10), ctx30)[1]
+        assert bits <= _plan(F_PARAMS, math.log(Fraction(1, 2)), ctx30)[1]
+
+    @pytest.mark.parametrize("spec", ["1e-1000000", "-1e-1000000", ("1e-1000000", "1e-1000000"), "2^-2^80"], ids=str)
+    def test_F_and_F2_are_one(self, ctx30, spec):
+        mp = ctx30.mp
+        if spec == "2^-2^80":
+            lam = mp.ldexp(mp.mpf(1), -2**80)  # log|lambda| = -8.4e23 as a float
+        else:
+            lam = mp.mpc(*spec) if isinstance(spec, tuple) else mp.mpf(spec)
+        F, F2 = legendre_F_F2(lam, ctx30)
+        assert abs(F - 1) <= ctx30.eps and abs(F2 - 1) <= ctx30.eps
+
+
+def _partial_sums(p, z, n):
+    """(1 + z U0, U1) exactly, U0 = sum u_k and U1 = sum (k+1) u_k over
+    k < n, with u_0 = ab/c and u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)); z and
+    both results are pairs (re, im) of Fractions."""
+    zr, zi = z
+    ur, ui = p.a * p.b / p.c, Fraction(0)
+    sums = [ur, ui, ur, ui]
+    for k in range(1, n):
+        r = (p.a + k) * (p.b + k) / ((p.c + k) * (k + 1))
+        ur, ui = (ur * zr - ui * zi) * r, (ur * zi + ui * zr) * r
+        sums = [sums[0] + ur, sums[1] + ui, sums[2] + (k + 1) * ur, sums[3] + (k + 1) * ui]
+    value = (1 + sums[0] * zr - sums[1] * zi, sums[0] * zi + sums[1] * zr)
+    return value, (sums[2], sums[3])
+
+
+class TestRoundingBound:
+    """_series against its exact rational partial sums over its own n: the
+    floors stay within the stated tail_tol / 2, and the one rounding to
+    working precision adds at most half an ulp.  The tail is not involved."""
+
+    @pytest.mark.parametrize(
+        "p",
+        EXACT_PARAMS + [HypParams(Fraction(-5, 2), Fraction(7, 3), Fraction(11, 4))],
+        ids=EXACT_IDS + ["(-5/2,7/3;11/4)"],
+    )
+    @pytest.mark.parametrize(
+        "z", [(Fraction(1, 2), 0), (Fraction(-1, 3), 0), (Fraction(3, 8), Fraction(1, 4))],
+        ids=["1/2", "-1/3", "3/8+i/4"],
+    )
+    def test_within_stated_bound(self, ctx30, p, z):
+        mp = ctx30.mp
+        # 3/8 + i/4 is a dyadic mpc, so the kernel sees the exact z
+        arg = mp.mpc(*(mp.mpf(x.numerator) / x.denominator for x in z)) if z[1] else z[0]
+        value, deriv, n = _series(p, arg, ctx30)
+        bound = Fraction(1, 2 * 10 ** (ctx30.working_digits + 5))  # tail_tol / 2
+        for got, exact in zip((value, deriv), _partial_sums(p, (Fraction(z[0]), Fraction(z[1])), n)):
+            parts = (got.real, got.imag) if z[1] else (got, mp.mpf(0))
+            for part, want in zip(parts, exact):
+                half_ulp = Fraction(2) ** (mp.mag(part) - mp.prec - 1) if part else 0
+                assert abs(_exact(part) - want) <= bound + half_ulp
 
 
 class TestNearTerminatingParameters:

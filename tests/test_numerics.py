@@ -5,7 +5,7 @@ import pytest
 
 from hyperpi import agm, ctx_new, format_complex, format_real, parse_complex, parse_real, pi_reference
 from hyperpi.cm import pi_reference_digits
-from hyperpi.numerics import PrecisionCtx, _gauss_legendre_iterates, truncated_digits
+from hyperpi.numerics import PrecisionCtx, truncated_digits
 
 from _oracles import AGM_1_HALF, PI_50, machin_pi
 
@@ -82,12 +82,6 @@ class TestPiReference:
         a = truncated_digits(pi_reference(ctx50), 50)
         b = truncated_digits(pi_reference(ctx100), 50)
         assert a == b
-
-    def test_successive_iterates_converge(self, ctx30):
-        it = _gauss_legendre_iterates(ctx30.mp)
-        values = [next(it) for _ in range(9)]
-        tol = ctx30.real(10) ** (-ctx30.target_digits)
-        assert abs(values[-1] - values[-2]) < tol
 
 
 class TestDecimalIO:
