@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, agm, fixed_point, log_abs
+from .numerics import PrecisionCtx, agm, fixed_point_sized
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
@@ -154,11 +154,20 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     imaginary products.  The derivative is U1 = sum (k+1) u_k and the value
     2^bits + z U0, U0 = sum u_k, formed with the exact z and floored once per
     component.  Each is rounded once.
+
+    A part of an mpc z below 2^-g, g = 2 bits, of the other is dropped before
+    any integer is formed (numerics.fixed_point_sized), so the integers do
+    not grow with the gap between the parts; the plan is then the larger
+    part's.  As n >= |ab/c|, g >= bits + log2 max(1, |ab/c|).  U1 is a
+    polynomial whose derivative is (ab/c) sum k t'_k / w, and the value's
+    derivative is U1 itself; with |t'_k| < 2 e^growth on the segment from
+    the larger part to z (up to (1 + 2^-2g)^n < 2), the drop moves U1 by
+    less than n^2 e^growth 2^-bits and the value by less than 2n e^growth
+    2^-bits: under a quarter of the floor bound 4 n^3 e^growth 2^-bits.
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    zr, zi, s, d = fixed_point(z)
-    n, bits = _plan(p, log_abs(zr, zi, s, d), ctx)
+    zr, zi, s, d, (n, bits) = fixed_point_sized(z, lambda log_az: _plan(p, log_az, ctx), ctx)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
     ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)

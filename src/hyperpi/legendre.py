@@ -23,19 +23,17 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BranchWarning
-from .hypergeometric import legendre_F, legendre_F_F2
-from .modular import (
-    TauPoint,
-    delta_tau,
-    eta,
-    lambda_tau,
-    weierstrass_g2_g3,
-)
 from .numerics import PrecisionCtx, agm_converged, format_value, pi_reference
-from .reports import FormulaReport, make_report
+
+if TYPE_CHECKING:
+    from .modular import TauPoint
+    from .reports import FormulaReport
+
+# The period and check functions import hypergeometric, modular and reports
+# when called, so J(lambda), which is rational in lambda, loads none of them.
 
 
 class LegendreCurve(NamedTuple):
@@ -99,12 +97,16 @@ class PeriodPair(NamedTuple):
 
 def period_classical(lam, ctx: PrecisionCtx):
     """Omega1 = pi * 2F1(1/2, 1/2; 1; lambda)."""
+    from .hypergeometric import legendre_F
+
     return pi_reference(ctx) * legendre_F(lam, ctx)
 
 
 def quasiperiod_bruns(lam, ctx: PrecisionCtx) -> PeriodPair:
     """(Omega1, H1) with H1 from Bruns' first differential relation;
     dOmega1/dlambda = (pi/4) F2(lambda), with F and F2 from one series."""
+    from .hypergeometric import legendre_F_F2
+
     pi = pi_reference(ctx)
     F, F2 = legendre_F_F2(lam, ctx)
     omega1 = pi * F
@@ -170,10 +172,14 @@ def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
     unreconciled so their mutual ratios (and the ratio to pi F(lambda)) can
     be measured; homothety_ratios does exactly that.
     """
+    from .modular import lambda_tau
+
     return _homothety_mu(t, lambda_tau(t, ctx), ctx)
 
 
 def _homothety_mu(t: TauPoint, lam, ctx: PrecisionCtx):
+    from .modular import delta_tau, weierstrass_g2_g3
+
     mp = ctx.mp
     prod = lam * (1 - lam)
     if _near_negative_cut(prod, ctx):
@@ -205,6 +211,8 @@ def homothety_ratios(t: TauPoint, ctx: PrecisionCtx):
     The measured constants adjudicate the closed form: expressions that
     agree with the period normalization give ratio 1.
     """
+    from .modular import lambda_tau
+
     lam = lambda_tau(t, ctx)
     omega1 = period_classical(lam, ctx)
     return tuple(mu / omega1 for mu in _homothety_mu(t, lam, ctx))
@@ -222,6 +230,9 @@ def _period_sides(t: TauPoint, curve: LegendreCurve, scale, F_arg, ctx: Precisio
     ever taken); rhs is the hypergeometric route.  scale is None around
     infinity, tau around 0 and (tau+1) sqrt(1-l) around 1.
     """
+    from .hypergeometric import legendre_F
+    from .modular import eta
+
     mp = ctx.mp
     pi = pi_reference(ctx)
     lam = curve.lam
@@ -247,6 +258,8 @@ def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -
     lhs comes from the eta/discriminant route, rhs from the hypergeometric
     route; curve should be built from lambda(tau).
     """
+    from .reports import make_report
+
     flags = [] if _real_in_unit_interval(curve.lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
     lhs, rhs = _period_sides(t, curve, None, curve.lam, ctx)
     return make_report(f"period-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
@@ -254,6 +267,9 @@ def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -
 
 def check_theorem_transform(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     """Around 0: omega1 = 2^(1/3) (pi i / tau) (l(1-l))^(1/6) disc^(-1/12) F(1-l)."""
+    from .modular import lambda_tau
+    from .reports import make_report
+
     lam = lambda_tau(t, ctx)
     flags = [] if _real_in_unit_interval(lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
     lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), t.tau, 1 - lam, ctx)
@@ -269,6 +285,9 @@ def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     theorem; on mismatch the report quantifies the constant lhs/rhs factor
     instead of asserting a branch choice.
     """
+    from .modular import lambda_tau
+    from .reports import make_report
+
     mp = ctx.mp
     lam = lambda_tau(t, ctx)
     flags = []

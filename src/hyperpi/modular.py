@@ -22,9 +22,10 @@ import math
 from typing import NamedTuple
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, ctx_new, fixed_point, log_abs, pi_reference
+from .numerics import PrecisionCtx, ctx_new, exact_mpf, fixed_point, fixed_point_bits, fixed_point_sized, pi_reference
 
 MAX_INVERSIONS = 1000  # reduce_tau's cap
+MAX_EXACT_BITS = 1 << 24  # tau_point's cap on the width of tau's exact integers
 
 
 class _WordFields(NamedTuple):
@@ -95,14 +96,28 @@ def _raw_point(tau, ctx: PrecisionCtx) -> TauPoint:
 
 
 def _point(tau, ctx: PrecisionCtx, reduce: bool) -> TauPoint:
-    re, im, s, _ = fixed_point(tau if hasattr(tau, "_mpc_") else ctx.complex(tau))
+    """The exact integers of tau are as wide as the gap between its parts;
+    past MAX_EXACT_BITS (a gap of about 5 million decimal digits) the point
+    is refused with a ReductionError before they are formed."""
+    tau = tau if hasattr(tau, "_mpc_") else ctx.complex(tau)
+    width = fixed_point_bits(tau)
+    if width > MAX_EXACT_BITS:
+        raise ReductionError(f"the exact reduction of tau needs integers of at least 2^{width.bit_length() - 1} "
+                             f"bits, past the cap of 2^{MAX_EXACT_BITS.bit_length() - 1}: its two parts differ "
+                             "too much in size")
+    re, im, s, _ = fixed_point(tau)
     if im <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     den = 1 << s
     reduced, word = reduce_tau(re, im, den) if reduce else ((re, im, den), TransformWord(()))
     tau0, x = _nome(*reduced, ctx)
-    tau = ctx.mp.mpc(ctx.mp.mpf(re) / den, ctx.mp.mpf(im) / den)
+    tau = ctx.mp.mpc(_quotient(re, den, ctx.mp), _quotient(im, den, ctx.mp))
     return TauPoint(tau, tau.imag, word, reduced, tau0, x, x * x, re % den == 0)
+
+
+def _quotient(n: int, den: int, mp):
+    """mp.mpf(n) / den, with both integers converted in time linear in their size."""
+    return +exact_mpf(n, mp) / exact_mpf(den, mp)
 
 
 def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
@@ -112,9 +127,10 @@ def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
     mp = ctx.mp
     r = re % (2 * den)
     wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
-    x = wide.mp.exp(wide.mp.mpc(0, pi_reference(wide)) * wide.mp.mpc(r, im) / den)
+    w = wide.mp
+    x = w.exp(w.mpc(0, pi_reference(wide)) * w.mpc(exact_mpf(r, w), exact_mpf(im, w)) / exact_mpf(den, w))
     x = ctx.real(x.real) if r % den == 0 else ctx.complex(x)
-    return mp.mpc(mp.mpf(re) / den, mp.mpf(im) / den), x
+    return mp.mpc(_quotient(re, den, mp), _quotient(im, den, mp)), x
 
 
 def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
@@ -152,18 +168,21 @@ def reduce_tau(re: int, im: int, den: int):
 # Dedekind eta
 # ---------------------------------------------------------------------------
 
+def _pentagonal_count(y, ctx: PrecisionCtx) -> int:
+    """N, the last n _euler sums at y: the first n with n(3n-1)/2 > log(tail_tol) / log|y|,
+    so that |y|^(N(3N-1)/2) < tail_tol; 0 when |y| < tail_tol, where even the first term is below it."""
+    ratio = float(ctx.mp.log(ctx.tail_tol) / ctx.mp.log(abs(y)))
+    return math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 1 if ratio >= 1 else 0
+
+
 def _euler(y, ctx: PrecisionCtx):
     """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2) over
-    |n| <= N, the first n with n(3n-1)/2 > log(tail_tol) / log|y|, so that
-    |y|^(N(3N-1)/2) < tail_tol.  Later exponents start at (N+1)(3N+2)/2 and
-    rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|).
-    Exactly 1 when |y| < tail_tol, where even the first term is below it."""
+    |n| <= N = _pentagonal_count(y, ctx).  Later exponents start at (N+1)(3N+2)/2
+    and rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|).
+    Exactly 1 when N = 0."""
     mp = ctx.mp
-    ratio = float(mp.log(ctx.tail_tol) / mp.log(abs(y)))
-    if ratio < 1:
-        return mp.mpf(1)
     total = mp.mpf(1)
-    for n in range(1, math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 2):
+    for n in range(1, _pentagonal_count(y, ctx) + 1):
         term = y ** (n * (3 * n - 1) // 2) + y ** (n * (3 * n + 1) // 2)
         total = total - term if n % 2 else total + term
     return total
@@ -255,13 +274,21 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
     |c_k| <= 504, E_k misses by under 2^12 N^6 u / (1-r)^3, which `bits`
     keeps below tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded
     once to working precision.
+
+    A part of an mpc q below 2^-(2 bits) of the other is dropped before any
+    integer is formed (numerics.fixed_point_sized), so the integers do not
+    grow with the gap between the parts.  On the segment it spans,
+    |dE_k/dq| <= 504 sum n^6 r^(n-1) / (1-r)^2, so E_k moves by less than
+    2^-2bits 504 N^7 / (1-r)^2, which `bits` keeps below N 2^-bits tail_tol:
+    far below the tail_tol / 2 the tail and the floors leave.
     """
-    qr, qi, s, _ = fixed_point(q)
-    log_r = log_abs(qr, qi, s)
-    n_terms = _lambert_count(log_r, ctx)
-    error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
-    # 2 more bits cover the float rounding of error_bits and r
-    bits = math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+    def size(log_r):
+        n_terms = _lambert_count(log_r, ctx)
+        error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
+        # 2 more bits cover the float rounding of error_bits and r
+        return n_terms, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+
+    qr, qi, s, _, (n_terms, bits) = fixed_point_sized(q, size, ctx)
     one = 1 << bits
     qr, qi = (qr << bits) >> s, (qi << bits) >> s
     q_sum, q_diff = qr + qi, qi - qr
@@ -414,6 +441,7 @@ def s2(t: TauPoint, ctx: PrecisionCtx):
     if lost > 1:  # tau0, its nome and Im(tau) = Im(tau0) / |c tau0 + d|^2 from the integers
         wide = ctx_new(ctx.target_digits + lost)
         tau0, x = _nome(re, im, den, wide)
-        t = t._replace(im=wide.mp.mpf(im * den) / ((c * re + d * den) ** 2 + (c * im) ** 2), tau0=tau0, x=x, q=x * x)
+        im_tau = _quotient(im * den, (c * re + d * den) ** 2 + (c * im) ** 2, wide.mp)
+        t = t._replace(im=im_tau, tau0=tau0, x=x, q=x * x)
         e2, e4, e6 = eisenstein_all(t, wide)
     return _rounded(e4 / e6 * _s2_bracket(e2, t, wide), t, ctx)

@@ -171,8 +171,10 @@ def truncated_digits(x, n: int) -> str:
 def fixed_point(z):
     """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
     for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  The
-    fixed-point kernels (the 2F1 and Lambert series) and tau_point's exact
-    reduction read their argument through this one converter."""
+    fixed-point kernels (the 2F1 and Lambert series, through
+    fixed_point_sized) and tau_point's exact reduction read their argument
+    through this one converter.  The integers are as wide as the gap between
+    the parts of z."""
     if isinstance(z, Fraction):
         den = z.denominator
         s = (den & -den).bit_length() - 1
@@ -182,6 +184,57 @@ def fixed_point(z):
     s = max([-exp for _, man, exp, _ in parts if man] + [0])
     re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
     return re, im, s, 1
+
+
+def fixed_point_bits(z) -> int:
+    """Bit length of the widest integer fixed_point(z) forms for an mpf or mpc
+    z, found without forming it: as wide as the gap between the parts."""
+    parts = [x._mpf_ for x in (z.real, z.imag) if x]  # only nonzero parts set s, as in fixed_point
+    s = max([-exp for _, _, exp, _ in parts] + [0])
+    return max([exp + bc + s for _, _, exp, bc in parts] + [0])
+
+
+def drop_minor_part(z, bits: float):
+    """z with the smaller of its two parts set to 0 where that part is below
+    2^-bits times the larger; z itself (the same object) otherwise, and for
+    a Fraction, an mpf or an mpc with a zero part."""
+    if not hasattr(z, "_mpc_"):
+        return z
+    re, im = z._mpc_
+    gap = re[2] + re[3] - im[2] - im[3]  # exponent + bit count: 2^(gap-1) < |re/im| < 2^(gap+1)
+    if not (re[1] and im[1]) or abs(gap) <= bits + 1:
+        return z
+    zero = (0, 0, 0, 0)  # mpmath's raw zero; make_mpc keeps the other part exact
+    return z.context.make_mpc((re, zero) if gap > 0 else (zero, im))
+
+
+def fixed_point_sized(z, size, ctx: PrecisionCtx):
+    """(re, im, s, d, sizing): fixed_point of z, or of z with its smaller part
+    dropped, and sizing = size(log|.|) there, a fixed-point kernel's plan
+    whose last item is its fractional bits.  A part is dropped when it is
+    below 2^-(2 bits) of the other, bits from the plan at the larger part
+    alone, so the integers never grow with the gap between the parts.  The
+    floors of a kernel stay below tail_tol, so its bits exceed
+    log2(1/tail_tol), and parts within twice that of each other are summed
+    as they are, with one plan."""
+    w = drop_minor_part(z, 2 * (ctx.working_digits + 5) * math.log2(10))
+    while True:
+        re, im, s, d = fixed_point(w)
+        sizing = size(log_abs(re, im, s, d))
+        if w is z or drop_minor_part(z, 2 * sizing[-1]) is not z:
+            return re, im, s, d, sizing
+        w = z  # the smaller part counts at these bits: size z itself
+
+
+def exact_mpf(n: int, mp: MPContext):
+    """The integer n as an exact mpf of mp, in time linear in its size
+    (mpmath's own conversion strips trailing zero bits a byte at a time).
+    +exact_mpf(n, mp) rounds it as mp.mpf(n) does."""
+    if not n:
+        return mp.zero
+    zeros = (n & -n).bit_length() - 1
+    man = abs(n) >> zeros
+    return mp.make_mpf((int(n < 0), man, zeros, man.bit_length()))
 
 
 def log_abs(re, im, s, d=1) -> float:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -104,6 +105,14 @@ class TestEval:
         # log|lambda| overflows a float, and the series is 1 to 30 digits
         code, out, _ = run(capsys, "eval", "--fn", fn, f"--lambda=0.5e-{10**399}", "--digits", "30")
         assert (code, out.strip()) == (0, "1.0")
+
+    @pytest.mark.parametrize("fn", ["F", "F2"])
+    @pytest.mark.parametrize("point,larger", [(f"0.5e-{10**399}+0.1i", "0.1i"), (f"0.1+0.5e-{10**399}i", "0.1")],
+                             ids=["tiny_re", "tiny_im"])
+    def test_a_part_far_below_the_other_prints_the_larger_alone(self, capsys, fn, point, larger):
+        # fixed_point's integers would be as wide as the 10^400-digit gap
+        outputs = [run(capsys, "eval", "--fn", fn, f"--lambda={p}", "--digits", "30") for p in (point, larger)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     def test_bad_tau_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--fn", "eta", "--tau", "nonsense")
@@ -238,6 +247,26 @@ class TestExtremeTau:
                 return lam / (lam - 1)
 
         _eval_anywhere("lambda", "0.3+1e-12i", 30, oracle)
+
+    @pytest.mark.parametrize("fn", ["e4", "lambda", "delta", "eta"])
+    def test_parts_too_far_apart_for_the_exact_reduction(self, capsys, fn):
+        # tau's exact integers would have 10^400 digits: refused before they are formed
+        code, out, err = run(capsys, "eval", "--fn", fn, f"--tau=1e-{10**399}+1i", "--digits", "30")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the exact reduction of tau needs integers") and err.count("\n") == 1
+
+    def test_eta_with_a_million_digit_gap(self, capsys):
+        # 3.3-million-bit integers, each converted to an mpf in linear time;
+        # eta(i + e) = eta(i) (1 + e pi i E2(i) / 12) + O(e^2), and E2(i) = 3/pi
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--fn", "eta", "--tau=1e-1000000+1i", "--digits", "30")
+        assert time.perf_counter() - start < 10 and code == 0
+        _, at_i, _ = run(capsys, "eval", "--fn", "eta", "--tau=1i", "--digits", "30")
+        value = parse_complex(out.strip(), ctx_new(30))
+        assert value.real == parse_complex(at_i.strip(), ctx_new(30)).real
+        with mpmath.workdps(40):
+            expected = mpmath.mpf(at_i.strip()) / 4 * mpmath.mpf("1e-1000000")
+            assert abs(value.imag - expected) <= abs(expected) * mpmath.mpf("1e-29")
 
     @pytest.mark.parametrize("fn,point", [("lambda", "0.3+1e-12i"), ("eta", "0.3+1e-30i")])
     def test_thirty_digits_are_the_first_of_sixty(self, capsys, fn, point):

@@ -34,6 +34,7 @@ LOADED = [
     (["verify", "--digits", "20"], CORE | PI_ENGINE),
     (["eval", "--fn", "e4", "--tau", "0.1+1i", "--digits", "20"], CORE | {"hyperpi.modular"}),
     (["eval", "--fn", "F", "--lambda", "0.5", "--digits", "20"], CORE | {"hyperpi.hypergeometric"}),
+    (["eval", "--fn", "j", "--lambda", "0.5", "--digits", "20"], CORE | {"hyperpi.legendre"}),
     (["cm-report", "--abc", "1,0,4", "--digits", "20"], EVERY_MODULE - {"hyperpi.suite"}),
     (["selftest", "--digits", "10"], EVERY_MODULE),
 ]

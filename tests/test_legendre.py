@@ -22,7 +22,7 @@ from hyperpi import (
     tau_point,
     weierstrass_from_lambda,
 )
-from hyperpi import legendre
+from hyperpi import hypergeometric
 from hyperpi.numerics import PrecisionCtx, ctx_new
 
 from _oracles import F_HALF
@@ -118,14 +118,15 @@ class TestBrunsResiduals:
 
     @pytest.mark.parametrize("num", [5, 25, 50])
     def test_first_residual_sees_a_wrong_f2(self, monkeypatch, num):
-        # F2 off by 10^-12 relative must push res1 over the selftest's 10^-15
-        right = legendre.legendre_F_F2
+        # F2 off by 10^-12 relative must push res1 over the selftest's 10^-15;
+        # quasiperiod_bruns imports legendre_F_F2 from hypergeometric when called
+        right = hypergeometric.legendre_F_F2
 
         def wrong(lam, ctx):
             F, F2 = right(lam, ctx)
             return F, F2 * (1 + ctx.real("1e-12"))
 
-        monkeypatch.setattr(legendre, "legendre_F_F2", wrong)
+        monkeypatch.setattr(hypergeometric, "legendre_F_F2", wrong)
         ctx = PrecisionCtx(48)
         res1, _ = bruns_residuals(ctx.real(num) / 100, ctx)
         assert res1 > ctx.real("1e-15")

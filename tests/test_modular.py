@@ -86,6 +86,31 @@ class TestTauPoint:
         assert calls == {"reduce_tau": 1, "_nome": 1}
 
 
+class TestPartsFarApart:
+    """The exact integers of tau, and those of the Lambert pass at q, are as
+    wide as the gap between the two parts."""
+
+    def test_refused_before_the_integers_are_formed(self, ctx50):
+        tau = ctx50.mp.mpc(ctx50.mp.ldexp(1, -2**40), 1)
+        with pytest.raises(ReductionError, match="exact reduction of tau needs integers of at least 2"):
+            tau_point(tau, ctx50)
+
+    def test_a_million_digit_gap_reduces(self, ctx50):
+        # 3.3-million-bit integers, converted to mpfs in linear time
+        mp = ctx50.mp
+        tau = mp.mpc(mp.mpf("1e-1000000"), 1)
+        t = tau_point(tau, ctx50)
+        assert t.word.letters == () and t.tau == tau and t.tau0 == tau
+        assert abs(t.x - mp.exp(-pi_reference(ctx50))) < ctx50.eps
+
+    @pytest.mark.parametrize("gap_bits", [400, 10**7, 2**80])
+    def test_lambert_pass_at_the_larger_part(self, gap_bits):
+        ctx = ctx_new(30)
+        mp = ctx.mp
+        q = mp.mpc("0.004", mp.ldexp(1, -gap_bits))
+        assert _eisenstein_series(q, ctx) == _eisenstein_series(mp.mpc("0.004", 0), ctx)
+
+
 class TestEta:
     def test_frozen_value_at_i(self, ctx50):
         t = tau_point(_mpc(ctx50, 0, 1), ctx50)

@@ -5,7 +5,14 @@ import pytest
 
 from hyperpi import agm, ctx_new, format_complex, format_real, parse_complex, parse_real, pi_reference
 from hyperpi.cm import pi_reference_digits
-from hyperpi.numerics import PrecisionCtx, truncated_digits
+from hyperpi.numerics import (
+    PrecisionCtx,
+    drop_minor_part,
+    exact_mpf,
+    fixed_point,
+    fixed_point_bits,
+    truncated_digits,
+)
 
 from _oracles import AGM_1_HALF, PI_50, machin_pi
 
@@ -136,3 +143,40 @@ class TestDecimalIO:
         with mpmath.workdps(5020):
             expected = mpmath.nstr(+mpmath.pi, 5010)[:5001]
         assert pi_reference_digits(5000) == expected
+
+
+class TestFixedPointHelpers:
+    def test_exact_mpf_is_exact_and_rounds_as_mpmath(self, ctx50):
+        mp, rng = ctx50.mp, random.Random(3)
+        for _ in range(300):
+            n = rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 2000)) << rng.randrange(0, 300)
+            assert exact_mpf(n, mp) == n
+            assert (+exact_mpf(n, mp))._mpf_ == mp.mpf(n)._mpf_
+        assert exact_mpf(0, mp) == 0
+
+    def test_exact_mpf_of_a_long_power_of_two(self, ctx50):
+        # mpmath's own conversion of 2^(10^7) strips its zeros a byte at a time
+        assert exact_mpf(1 << 10**7, ctx50.mp) == ctx50.mp.ldexp(1, 10**7)
+
+    def test_fixed_point_bits_is_the_width_of_fixed_point(self, ctx50):
+        mp, rng = ctx50.mp, random.Random(5)
+        for _ in range(300):
+            parts = [mp.ldexp(rng.getrandbits(60) * rng.choice((1, -1, 0)), rng.randrange(-500, 500)) for _ in "ri"]
+            re, im, _, _ = fixed_point(mp.mpc(*parts))
+            assert fixed_point_bits(mp.mpc(*parts)) == max(abs(re), abs(im)).bit_length()
+
+    def test_drop_minor_part(self, ctx50):
+        mp = ctx50.mp
+        z = mp.mpc(mp.ldexp(3, -100), "0.7")
+        assert drop_minor_part(z, 90) == mp.mpc(0, "0.7")
+        assert drop_minor_part(z, 110) is z
+        assert drop_minor_part(mp.mpc("0.7", mp.ldexp(-3, -100)), 90) == mp.mpc("0.7", 0)
+        for w in (mp.mpf("0.7"), mp.mpc("0.7", 0), mp.mpc(0, "0.7")):
+            assert drop_minor_part(w, 0) is w
+
+    def test_drop_keeps_the_larger_part_exact(self, ctx50):
+        # 1 + 2^-400 has more bits than ctx50 rounds to, and keeps them all
+        mp = ctx50.mp
+        wide = (0, (1 << 400) + 1, -400, 401)
+        z = mp.make_mpc((wide, mp.ldexp(1, -1000)._mpf_))
+        assert drop_minor_part(z, 500).real._mpf_ == wide
