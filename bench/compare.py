@@ -11,9 +11,9 @@ CASE is one of:
            sum (`_plan`).
   hyp2f1   one `hyp2f1` call on F = 2F1(1/2,1/2;1;z) and F2 = 2F1(3/2,3/2;2;z)
            at mpf z in 0.3, 0.5, -0.45, 0.9 and at 30, 100 and 300 digits, 3
-           timed calls after a warm-up; counts: the terms `_series` sums, and
-           error_eps = |hyp2f1 - mpmath.hyp2f1| in units of 10^-working, with
-           the oracle at 30 more bits.
+           timed calls after a warm-up; counts: the terms `_series` sums
+           (`_plan`), and error_eps = |hyp2f1 - mpmath.hyp2f1| in units of
+           10^-working, with the oracle at 30 more bits.
   qseries  `tau_point` plus one call of eta, E2, E4, E6 or lambda on its point,
            at tau = Re + i Im for Re in 0, 0.3 and Im in 0.05, 1/4, 1, at 300
            digits, 9 timed calls after a warm-up; counts, from the warm-up:
@@ -71,11 +71,20 @@ HYP2F1_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import mpmath
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _series, hyp2f1
-from hyperpi.numerics import ctx_new
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, hyp2f1
+from hyperpi import numerics
+
+
+def log_abs(z):
+    try:
+        return numerics.log_abs(z)
+    except TypeError:  # an older tree reads log|z| from fixed_point's integers
+        return numerics.log_abs(*numerics.fixed_point(z))
+
+
 out = {}
 for digits in (30, 100, 300):
-    ctx = ctx_new(digits)
+    ctx = numerics.ctx_new(digits)
     for z_text in ("0.3", "0.5", "-0.45", "0.9"):
         z = ctx.real(z_text)
         for name, p in (("F", F_PARAMS), ("F2", F2_PARAMS)):
@@ -91,7 +100,7 @@ for digits in (30, 100, 300):
                 error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
             out[f"{digits} {z_text} {name}"] = {
                 "seconds": seconds,
-                "counts": {"terms": _series(p, z, ctx)[-1], "error_eps": float(f"{error_eps:.3g}")},
+                "counts": {"terms": _plan(p, log_abs(z), ctx)[0], "error_eps": float(f"{error_eps:.3g}")},
             }
 print(json.dumps(out))
 """

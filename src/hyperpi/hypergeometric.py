@@ -9,21 +9,21 @@ Two evaluation routes cover every point this package uses:
 
 Anything else raises RegionError; no silent analytic continuation.
 
-One fixed-point kernel, _series, sums every series, with z exactly
-(re + i im) / (2^s d) in integers: d = 1 for an mpf or mpc z, and a
-Fraction z (the 1/pi identities use z = 1/2 and z = -1, whose Pfaff image
-is 1/2) keeps its denominator, so it is never rounded.  The loop sums the
-derivative series (DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c)
-2F1(a+1, b+1; c+1; z), as u_k = t_(k+1) / z with U0 = sum u_k and
-U1 = sum (k+1) u_k: U1 is the derivative and 1 + z U0 the value, so one
-pass gives both.  Terms are counted on that derivative series, whose tail
-dominates: from a K found in closed form its term ratio stays below
-rho = (1+|z|)/2, so the tail after a term t is below |t| rho / (1-rho), for
-every rational (a, b; c), and the count comes from K exact ratios and a
-bisection on lgamma, not a walk over all terms.  Guard bits keep the floor
-roundings of both sums below tail_tol / 2, so each is within
-tail_tol = 10^-(working+5) before its one rounding to working precision.
-The Pfaff prefactor is an mpf power.
+One fixed-point kernel, _series, sums every series, with z as
+(re + i im) / (2^s d) in integers: an mpf or mpc z read to twice the
+kernel's fractional bits (d = 1), and a Fraction z (the 1/pi identities use
+z = 1/2 and z = -1, whose Pfaff image is 1/2) exactly, with its
+denominator, so it is never rounded.  The loop sums the derivative series
+(DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), as
+u_k = t_(k+1) / z with U0 = sum u_k and U1 = sum (k+1) u_k: U1 is the
+derivative and 1 + z U0 the value, so one pass gives both.  Terms are
+counted on that derivative series, whose tail dominates: from a K found in
+closed form its term ratio stays below rho = (1+|z|)/2, so the tail after a
+term t is below |t| rho / (1-rho), for every rational (a, b; c), and the
+count comes from K exact ratios and a bisection on lgamma, not a walk over
+all terms.  Guard bits keep the floor roundings of both sums below
+tail_tol / 2, so each is within tail_tol = 10^-(working+5) before its one
+rounding to working precision.  The Pfaff prefactor is an mpf power.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, agm, fixed_point_sized
+from .numerics import PrecisionCtx, agm, fixed_point, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
@@ -147,27 +147,30 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z,
     summed in fixed point; both are mpfs for a real z, mpcs for an mpc z.
 
-    z is exactly (zr + i zi) / (2^s d), so with u_0 = ab/c and
+    z is read as (zr + i zi) / (2^s d), so with u_0 = ab/c and
     u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each term
     is one integer product, a shift and a division by a small integer, kept
     to `bits` fractional bits (_plan bounds the error); a real z skips the
     imaginary products.  The derivative is U1 = sum (k+1) u_k and the value
-    2^bits + z U0, U0 = sum u_k, formed with the exact z and floored once per
+    2^bits + z U0, U0 = sum u_k, formed with that z and floored once per
     component.  Each is rounded once.
 
-    A part of an mpc z below 2^-g, g = 2 bits, of the other is dropped before
-    any integer is formed (numerics.fixed_point_sized), so the integers do
-    not grow with the gap between the parts; the plan is then the larger
-    part's.  As n >= |ab/c|, g >= bits + log2 max(1, |ab/c|).  U1 is a
-    polynomial whose derivative is (ab/c) sum k t'_k / w, and the value's
-    derivative is U1 itself; with |t'_k| < 2 e^growth on the segment from
-    the larger part to z (up to (1 + 2^-2g)^n < 2), the drop moves U1 by
-    less than n^2 e^growth 2^-bits and the value by less than 2n e^growth
-    2^-bits: under a quarter of the floor bound 4 n^3 e^growth 2^-bits.
+    An mpf or mpc z is read to 2^-2bits (numerics.fixed_point), so no
+    integer grows with the gap between its parts.  Each part moves toward 0
+    by less than 2^-2bits, so every w between z and its reading has
+    |w| <= |z|, |t'_k(w)| <= e^growth and, for k >= 1,
+    |t'_k(w) / w| <= e^growth m, m = min(A, 1/|z|) with
+    A = |(a+1)(b+1)/(c+1)| = |t'_1(w) / w|.  The value, whose derivative is
+    U1 = (ab/c) sum t'_k, moves by less than n^2 e^growth 2^(1/2-2bits), and
+    U1, whose derivative is (ab/c) sum k t'_k / w, by less than
+    n^3 e^growth m 2^(-1/2-2bits): each under a quarter of the floor bound
+    4 n^3 e^growth 2^-bits where m <= 2^bits, i.e. where |z| >= 2^-bits or
+    A <= 2^bits (A is at most 25/12 for the package's parameters).
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    zr, zi, s, d, (n, bits) = fixed_point_sized(z, lambda log_az: _plan(p, log_az, ctx), ctx)
+    n, bits = _plan(p, log_abs(z), ctx)
+    zr, zi, s, d = fixed_point(z, 2 * bits)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
     ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)

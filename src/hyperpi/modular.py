@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, ctx_new, exact_mpf, fixed_point, fixed_point_bits, fixed_point_sized, pi_reference
+from .numerics import PrecisionCtx, ctx_new, exact_mpf, fixed_point, fixed_point_bits, log_abs, pi_reference
 
 MAX_INVERSIONS = 1000  # reduce_tau's cap
 MAX_EXACT_BITS = 1 << 24  # tau_point's cap on the width of tau's exact integers
@@ -258,9 +258,11 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
     before the loop (_lambert_count), so that the tail past N is within
     tail_tol / 2 for every k.  A real q skips the imaginary products.
 
-    q is rounded once, to q~, and q~^n is carried by one integer product per
-    term.  Each term q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2 takes
-    one integer division per component, whose quotient shrinks with |q^n|.
+    q is read once, to q~ (numerics.fixed_point: each part truncated toward 0
+    to `bits` fractional bits, so no integer grows with the gap between
+    them), and q~^n is carried by one integer product per term.  Each term
+    q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2 takes one integer
+    division per component, whose quotient shrinks with |q^n|.
 
     Guard bits.  With u = 2^-bits each floor moves a complex value by less
     than 2u; r below stands for max(|q|, |q~|), which the float |q| of the
@@ -274,23 +276,15 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
     |c_k| <= 504, E_k misses by under 2^12 N^6 u / (1-r)^3, which `bits`
     keeps below tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded
     once to working precision.
-
-    A part of an mpc q below 2^-(2 bits) of the other is dropped before any
-    integer is formed (numerics.fixed_point_sized), so the integers do not
-    grow with the gap between the parts.  On the segment it spans,
-    |dE_k/dq| <= 504 sum n^6 r^(n-1) / (1-r)^2, so E_k moves by less than
-    2^-2bits 504 N^7 / (1-r)^2, which `bits` keeps below N 2^-bits tail_tol:
-    far below the tail_tol / 2 the tail and the floors leave.
     """
-    def size(log_r):
-        n_terms = _lambert_count(log_r, ctx)
-        error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
-        # 2 more bits cover the float rounding of error_bits and r
-        return n_terms, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
-
-    qr, qi, s, _, (n_terms, bits) = fixed_point_sized(q, size, ctx)
+    log_r = log_abs(q)
+    n_terms = _lambert_count(log_r, ctx)
+    error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
+    # 2 more bits cover the float rounding of error_bits and r
+    bits = math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+    qr, qi, s, _ = fixed_point(q, bits)
     one = 1 << bits
-    qr, qi = (qr << bits) >> s, (qi << bits) >> s
+    qr, qi = qr << bits - s, qi << bits - s
     q_sum, q_diff = qr + qi, qi - qr
     qnr, qni = one, 0  # q~^n
     sums = [0] * 6  # real and imaginary parts of S_2, S_4 and S_6

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -101,9 +102,19 @@ _IMAG_RE = re.compile(rf"^({_REAL_PATTERN})?[ij]$")
 
 
 def format_real(x, ctx: PrecisionCtx, digits: int | None = None) -> str:
+    """ValueError where the decimal exponent, about mag(x) log10(2), has more
+    digits than Python's int-to-str limit converts: found before mpmath
+    spends its time forming them."""
     if digits is None:
         digits = ctx.working_digits + 3
-    return ctx.mp.nstr(ctx.real(x), digits)
+    x = ctx.real(x)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and x and ctx.mp.isfinite(x):
+        length = math.floor(math.log10(abs(ctx.mp.mag(x)) or 1) + math.log10(math.log10(2))) + 1
+        if length > limit:
+            raise ValueError(f"the value's decimal exponent has {length} digits, more than the {limit} "
+                             "Python converts to a string")
+    return ctx.mp.nstr(x, digits)
 
 
 def format_complex(z, ctx: PrecisionCtx, digits: int | None = None) -> str:
@@ -168,13 +179,14 @@ def truncated_digits(x, n: int) -> str:
 # Fixed point
 # ---------------------------------------------------------------------------
 
-def fixed_point(z):
-    """Integers (re, im, s, d) with z = (re + i im) / (2^s d) exactly and d odd,
-    for a Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  The
-    fixed-point kernels (the 2F1 and Lambert series, through
-    fixed_point_sized) and tau_point's exact reduction read their argument
-    through this one converter.  The integers are as wide as the gap between
-    the parts of z."""
+def fixed_point(z, bits: int | None = None):
+    """Integers (re, im, s, d), d odd, with (re + i im) / (2^s d) = z for a
+    Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  With no bits z is
+    exact, as tau_point's reduction reads it, and the integers are as wide as
+    the gap between its parts.  With bits, as the fixed-point kernels (the
+    2F1 and Lambert series) read their argument, s <= bits and each part of
+    an mpf or mpc is truncated toward 0, by less than 2^-bits: a part below
+    2^-bits is 0, and no integer grows with the gap.  A Fraction stays exact."""
     if isinstance(z, Fraction):
         den = z.denominator
         s = (den & -den).bit_length() - 1
@@ -182,7 +194,9 @@ def fixed_point(z):
     parts = [x._mpf_ for x in (z.real, z.imag)]
     # mpmath's zero is (0, 0, 0, 0): only nonzero parts set the exponent
     s = max([-exp for _, man, exp, _ in parts if man] + [0])
-    re, im = ((-man if sign else man) << (exp + s) for sign, man, exp, _ in parts)
+    if bits is not None:
+        s = min(s, bits)
+    re, im = ((-1) ** sign * (man << exp + s if exp + s >= 0 else man >> -exp - s) for sign, man, exp, _ in parts)
     return re, im, s, 1
 
 
@@ -192,38 +206,6 @@ def fixed_point_bits(z) -> int:
     parts = [x._mpf_ for x in (z.real, z.imag) if x]  # only nonzero parts set s, as in fixed_point
     s = max([-exp for _, _, exp, _ in parts] + [0])
     return max([exp + bc + s for _, _, exp, bc in parts] + [0])
-
-
-def drop_minor_part(z, bits: float):
-    """z with the smaller of its two parts set to 0 where that part is below
-    2^-bits times the larger; z itself (the same object) otherwise, and for
-    a Fraction, an mpf or an mpc with a zero part."""
-    if not hasattr(z, "_mpc_"):
-        return z
-    re, im = z._mpc_
-    gap = re[2] + re[3] - im[2] - im[3]  # exponent + bit count: 2^(gap-1) < |re/im| < 2^(gap+1)
-    if not (re[1] and im[1]) or abs(gap) <= bits + 1:
-        return z
-    zero = (0, 0, 0, 0)  # mpmath's raw zero; make_mpc keeps the other part exact
-    return z.context.make_mpc((re, zero) if gap > 0 else (zero, im))
-
-
-def fixed_point_sized(z, size, ctx: PrecisionCtx):
-    """(re, im, s, d, sizing): fixed_point of z, or of z with its smaller part
-    dropped, and sizing = size(log|.|) there, a fixed-point kernel's plan
-    whose last item is its fractional bits.  A part is dropped when it is
-    below 2^-(2 bits) of the other, bits from the plan at the larger part
-    alone, so the integers never grow with the gap between the parts.  The
-    floors of a kernel stay below tail_tol, so its bits exceed
-    log2(1/tail_tol), and parts within twice that of each other are summed
-    as they are, with one plan."""
-    w = drop_minor_part(z, 2 * (ctx.working_digits + 5) * math.log2(10))
-    while True:
-        re, im, s, d = fixed_point(w)
-        sizing = size(log_abs(re, im, s, d))
-        if w is z or drop_minor_part(z, 2 * sizing[-1]) is not z:
-            return re, im, s, d, sizing
-        w = z  # the smaller part counts at these bits: size z itself
 
 
 def exact_mpf(n: int, mp: MPContext):
@@ -237,15 +219,21 @@ def exact_mpf(n: int, mp: MPContext):
     return mp.make_mpf((int(n < 0), man, zeros, man.bit_length()))
 
 
-def log_abs(re, im, s, d=1) -> float:
-    """log|z| of z = (re + i im) / (2^s d), read from fixed_point's integers;
-    -inf at z = 0.  s >= 2^1000 would overflow a float; such a z is far below
-    any tolerance, and capping s only raises the result, which keeps every
-    bound sized from it an upper bound."""
-    norm = re * re + im * im
-    if not norm:
+def log_abs(z) -> float:
+    """log|z| of a Fraction, mpf or mpc z, read from its mantissas and
+    exponents before any integer is formed; -inf at z = 0.  An exponent
+    below -2^1000 would overflow a float; such a z is far below any
+    tolerance, and capping the exponent only raises the result, which keeps
+    every bound sized from it an upper bound."""
+    if isinstance(z, Fraction):
+        return math.log(abs(z.numerator)) - math.log(z.denominator) if z else -math.inf
+    parts = [x._mpf_ for x in (z.real, z.imag) if x]
+    if not parts:
         return -math.inf
-    return math.log(norm) / 2 - min(s, 1 << 1000) * math.log(2) - math.log(d)
+    top = max(exp + bc for _, _, exp, bc in parts)  # 2^(top-1) <= |z| < 2^(top+1)
+    # each part over 2^top from its 64 leading bits; one far below the other adds 0
+    norm = sum(math.ldexp(man >> max(bc - 64, 0), exp + max(bc - 64, 0) - top) ** 2 for _, man, exp, bc in parts)
+    return math.log(norm) / 2 + max(top, -(1 << 1000)) * math.log(2)
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,18 @@ class TestEval:
         assert (code, out.strip()) == (0, "1.0")
 
     @pytest.mark.parametrize("fn", ["F", "F2"])
+    @pytest.mark.parametrize("point", ["1e-1000000", "-1e-1000000"])
+    def test_lambda_far_below_every_tolerance(self, capsys, fn, point):
+        # the guard bits do not grow with 1/|lambda|
+        code, out, _ = run(capsys, "eval", "--fn", fn, f"--lambda={point}", "--digits", "30")
+        assert (code, out.strip()) == (0, "1.0")
+
+    @pytest.mark.parametrize("fn", ["F", "F2"])
     @pytest.mark.parametrize("point,larger", [(f"0.5e-{10**399}+0.1i", "0.1i"), (f"0.1+0.5e-{10**399}i", "0.1")],
                              ids=["tiny_re", "tiny_im"])
     def test_a_part_far_below_the_other_prints_the_larger_alone(self, capsys, fn, point, larger):
-        # fixed_point's integers would be as wide as the 10^400-digit gap
+        # exact integers would be as wide as the 10^400-digit gap: the kernel
+        # reads the smaller part as 0
         outputs = [run(capsys, "eval", "--fn", fn, f"--lambda={p}", "--digits", "30") for p in (point, larger)]
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
@@ -247,6 +255,34 @@ class TestExtremeTau:
                 return lam / (lam - 1)
 
         _eval_anywhere("lambda", "0.3+1e-12i", 30, oracle)
+
+    @pytest.mark.parametrize("fn", ["eta", "e2", "delta", "lambda", "j"])
+    @pytest.mark.parametrize("point", ["0.3+0.01i", "0.3+1e-30i", "0.3+1e400i", "1e30+1i"])
+    def test_extreme_points_exit_0_or_1(self, fn, point):
+        # near the real axis, with a nome far below the tail tolerance, and
+        # with a shift of 10^30
+        _eval_anywhere(fn, point, 30)
+
+    @pytest.mark.parametrize("fn", ["e2", "e4", "e6", "s2"])
+    def test_real_at_a_half_integer_re(self, capsys, fn):
+        # q = -e^(-80 pi) is real and far below 2^-bits, and so is the
+        # rounding noise in Im q: both are read as 0, not floored to -2^-bits
+        code, out, _ = run(capsys, "eval", "--fn", fn, "--tau=0.5+40i", "--digits", "30")
+        assert code == 0 and "i" not in out
+        with mpmath.workdps(40):
+            expected = 1 - 3 / (40 * mpmath.pi) if fn == "s2" else 1
+            assert abs(mpmath.mpf(out.strip()) - expected) <= mpmath.mpf("1e-29")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="Python prints integers of any length here")
+    def test_an_unprintable_value_fails_fast(self, capsys):
+        # |eta| is about 10^(-10^4998): its decimal exponent has more digits
+        # than Python converts to a string, found before mpmath forms them
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--fn", "eta", "--tau=0.3+1e-5000i", "--digits", "30")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert "decimal exponent has 4998 digits" in err
 
     @pytest.mark.parametrize("fn", ["e4", "lambda", "delta", "eta"])
     def test_parts_too_far_apart_for_the_exact_reduction(self, capsys, fn):

@@ -19,7 +19,7 @@ from hyperpi import (
     picard_fuchs_residual,
 )
 from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, _series, legendre_F_F2
-from hyperpi.numerics import ctx_new, drop_minor_part, fixed_point, fixed_point_sized
+from hyperpi.numerics import ctx_new, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
 
@@ -263,8 +263,8 @@ class TestTinyArgument:
 
 
 class TestPartsFarApart:
-    """A part of z far below the other is dropped before fixed_point forms
-    integers as wide as the gap; one just below the cut is summed."""
+    """_series reads z to 2^-2bits, so a part of z far below it is 0 and no
+    integer is as wide as the gap; one within it is summed."""
 
     @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
     @pytest.mark.parametrize("gap_bits", [400, 10**7, 2**80])
@@ -278,13 +278,11 @@ class TestPartsFarApart:
         assert _against_mpmath(p, at_major, _series(p, z, ctx30)[0], ctx30) < 1
 
     def test_a_gap_within_twice_the_bits_is_summed(self, ctx30):
-        # 330 bits: past twice the floor of every plan (2 x 156 here), within
-        # twice this plan's bits, so fixed_point_sized sizes z itself again
+        # 330 bits: within twice this plan's bits, so z is read exactly
         mp = ctx30.mp
         z = mp.mpc("0.4", mp.ldexp(mp.mpf(1), -331))
-        assert drop_minor_part(z, 2 * (ctx30.working_digits + 5) * math.log2(10)) is not z
-        *integers, (_, bits) = fixed_point_sized(z, lambda log_az: _plan(F_PARAMS, log_az, ctx30), ctx30)
-        assert tuple(integers) == fixed_point(z) and drop_minor_part(z, 2 * bits) is z
+        bits = _plan(F_PARAMS, log_abs(z), ctx30)[1]
+        assert fixed_point(z, 2 * bits) == fixed_point(z)
         assert _against_mpmath(F_PARAMS, z, _series(F_PARAMS, z, ctx30)[0], ctx30) < 1
 
 

@@ -87,8 +87,9 @@ class TestTauPoint:
 
 
 class TestPartsFarApart:
-    """The exact integers of tau, and those of the Lambert pass at q, are as
-    wide as the gap between the two parts."""
+    """The exact integers of tau are as wide as the gap between its two
+    parts; the Lambert pass reads q to its own bits, where a part far below
+    them is 0."""
 
     def test_refused_before_the_integers_are_formed(self, ctx50):
         tau = ctx50.mp.mpc(ctx50.mp.ldexp(1, -2**40), 1)

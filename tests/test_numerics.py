@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,10 +9,10 @@ from hyperpi import agm, ctx_new, format_complex, format_real, parse_complex, pa
 from hyperpi.cm import pi_reference_digits
 from hyperpi.numerics import (
     PrecisionCtx,
-    drop_minor_part,
     exact_mpf,
     fixed_point,
     fixed_point_bits,
+    log_abs,
     truncated_digits,
 )
 
@@ -145,6 +147,12 @@ class TestDecimalIO:
         assert pi_reference_digits(5000) == expected
 
 
+def _log_of_integers(re, im, s, d):
+    """log|z| from the exact integers of z = (re + i im) / (2^s d), with s
+    capped at 2^1000 as log_abs caps the exponent."""
+    return math.log(re * re + im * im) / 2 - min(s, 1 << 1000) * math.log(2) - math.log(d)
+
+
 class TestFixedPointHelpers:
     def test_exact_mpf_is_exact_and_rounds_as_mpmath(self, ctx50):
         mp, rng = ctx50.mp, random.Random(3)
@@ -165,18 +173,62 @@ class TestFixedPointHelpers:
             re, im, _, _ = fixed_point(mp.mpc(*parts))
             assert fixed_point_bits(mp.mpc(*parts)) == max(abs(re), abs(im)).bit_length()
 
-    def test_drop_minor_part(self, ctx50):
-        mp = ctx50.mp
-        z = mp.mpc(mp.ldexp(3, -100), "0.7")
-        assert drop_minor_part(z, 90) == mp.mpc(0, "0.7")
-        assert drop_minor_part(z, 110) is z
-        assert drop_minor_part(mp.mpc("0.7", mp.ldexp(-3, -100)), 90) == mp.mpc("0.7", 0)
-        for w in (mp.mpf("0.7"), mp.mpc("0.7", 0), mp.mpc(0, "0.7")):
-            assert drop_minor_part(w, 0) is w
-
-    def test_drop_keeps_the_larger_part_exact(self, ctx50):
+    def test_fixed_point_is_exact_where_z_fits_in_bits(self, ctx50):
+        mp, rng = ctx50.mp, random.Random(7)
+        for _ in range(300):
+            parts = [mp.ldexp(rng.getrandbits(60) * rng.choice((1, -1, 0)), rng.randrange(-300, 50)) for _ in "ri"]
+            exact = fixed_point(mp.mpc(*parts))
+            assert fixed_point(mp.mpc(*parts), exact[2] + rng.randrange(0, 50)) == exact
         # 1 + 2^-400 has more bits than ctx50 rounds to, and keeps them all
+        z = mp.make_mpc(((0, (1 << 400) + 1, -400, 401), mp.ldexp(1, -1000)._mpf_))
+        assert fixed_point(z, 400) == ((1 << 400) + 1, 0, 400, 1)
+
+    def test_fixed_point_truncates_each_part_toward_zero(self, ctx50):
+        mp, rng = ctx50.mp, random.Random(11)
+        for _ in range(300):
+            parts = [mp.ldexp(rng.getrandbits(60) * rng.choice((1, -1, 0)), rng.randrange(-300, 0)) for _ in "ri"]
+            bits = rng.randrange(0, 300)
+            re, im, s, d = fixed_point(mp.mpc(*parts), bits)
+            assert s <= bits and d == 1
+            for n, part in zip((re, im), parts):
+                sign, man, exp, _ = part._mpf_
+                exact, got = (-1) ** sign * man * Fraction(2) ** exp, Fraction(n, 1 << s)
+                assert got * exact >= 0 and abs(got) <= abs(exact) and abs(exact - got) < Fraction(1, 1 << bits)
+
+    @pytest.mark.parametrize("gap_bits", [100, 10**7, 2**80])
+    def test_a_part_below_2_to_the_minus_bits_is_zero(self, ctx50, gap_bits):
+        # no integer as wide as the gap is formed, so 2^80 bits take no time
         mp = ctx50.mp
-        wide = (0, (1 << 400) + 1, -400, 401)
-        z = mp.make_mpc((wide, mp.ldexp(1, -1000)._mpf_))
-        assert drop_minor_part(z, 500).real._mpf_ == wide
+        for minor in (mp.ldexp(3, -gap_bits), mp.ldexp(-3, -gap_bits)):
+            assert fixed_point(mp.mpc(minor, "0.7"), 90) == fixed_point(mp.mpc(0, "0.7"), 90)
+            assert fixed_point(mp.mpc("-0.7", minor), 90) == fixed_point(mp.mpf("-0.7"), 90)
+            assert fixed_point(minor, 90)[:2] == (0, 0)
+
+    def test_a_fraction_stays_exact(self):
+        for z in (Fraction(1, 3), Fraction(-5, 7 << 400), Fraction(1, 2), Fraction(0)):
+            re, im, s, d = fixed_point(z, 10)
+            assert (re, im, s, d) == fixed_point(z) and Fraction(re, d << s) == z and im == 0
+
+    def test_log_abs_matches_the_exact_integers(self, ctx50):
+        mp, rng = ctx50.mp, random.Random(13)
+        points = [Fraction(1, 2), Fraction(-3, 7 << 100), Fraction(10**30, 3)]
+        for _ in range(300):
+            points.append(mp.mpc(*(mp.ldexp(rng.getrandbits(rng.randrange(1, 400)) * rng.choice((1, -1, 0)),
+                                            rng.randrange(-600, 50)) for _ in "ri")))
+        for z in points:
+            if z:
+                assert log_abs(z) == pytest.approx(_log_of_integers(*fixed_point(z)), rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("exponent", [f"e-{10**399}", "2^-2^80"], ids=["1e-<400 digits>", "2^-2^80"])
+    def test_log_abs_at_exponents_past_a_float(self, ctx50, exponent):
+        # 400-digit and 2^80 exponents: the exact integers stay small, s does not
+        mp = ctx50.mp
+
+        def value(x):
+            return mp.ldexp(x, -2**80) if exponent == "2^-2^80" else mp.mpf(x) * mp.mpf(f"1{exponent}")
+
+        for z in (value(3), value(-0.5), mp.mpc(value(3), value(0.25)), mp.mpc(0, value(7))):
+            assert log_abs(z) == pytest.approx(_log_of_integers(*fixed_point(z)), rel=1e-14)
+
+    def test_log_abs_of_zero(self, ctx50):
+        assert log_abs(ctx50.mp.mpc(0)) == log_abs(Fraction(0)) == -math.inf
