@@ -109,7 +109,7 @@ def _cm_point(q: CMQuadratic, ctx: PrecisionCtx):
 def quasiperiod_relation_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
     """Omega1 H1 Im(tau) - Omega1^2 Im(tau) (3g3/2g2) s2(tau) = pi."""
     t, _, pair, term = _cm_point(q, ctx)
-    lhs = pair.omega1 * pair.h1 * t.im - pair.omega1**2 * t.im * term
+    lhs = pair.omega1 * pair.h1 * t.tau.imag - pair.omega1**2 * t.tau.imag * term
     rhs = pi_reference(ctx)
     return make_report(f"quasiperiod {q.label()}", lhs, rhs, ctx)
 

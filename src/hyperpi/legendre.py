@@ -260,7 +260,7 @@ def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -
     """
     from .reports import make_report
 
-    flags = [] if _real_in_unit_interval(curve.lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
+    flags = () if _real_in_unit_interval(curve.lam, ctx) else (_SIXTH_ROOT_UNVERIFIED,)
     lhs, rhs = _period_sides(t, curve, None, curve.lam, ctx)
     return make_report(f"period-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
 
@@ -271,7 +271,7 @@ def check_theorem_transform(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     from .reports import make_report
 
     lam = lambda_tau(t, ctx)
-    flags = [] if _real_in_unit_interval(lam, ctx) else [_SIXTH_ROOT_UNVERIFIED]
+    flags = () if _real_in_unit_interval(lam, ctx) else (_SIXTH_ROOT_UNVERIFIED,)
     lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), t.tau, 1 - lam, ctx)
     return make_report(f"transform-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
 
@@ -290,18 +290,17 @@ def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
 
     mp = ctx.mp
     lam = lambda_tau(t, ctx)
-    flags = []
+    flags = ()
     if _near_negative_cut(lam * (1 - lam), ctx):
-        flags.append("lambda(1-lambda) on the negative real cut: principal branch is a convention")
+        flags = ("lambda(1-lambda) on the negative real cut: principal branch is a convention",)
     scale = (t.tau + 1) * mp.sqrt(1 - lam)
     lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), scale, 1 / (1 - lam), ctx)
     report = make_report(f"around-one-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
     if not report.passed:
         ratio = lhs / rhs
-        report.branch_flags.append(
-            f"measured lhs/rhs = {format_value(ratio, ctx, 40)} "
-            f"(|ratio| = {ctx.mp.nstr(abs(ratio), 40)})"
-        )
+        measured = (f"measured lhs/rhs = {format_value(ratio, ctx, 40)} "
+                    f"(|ratio| = {ctx.mp.nstr(abs(ratio), 40)})")
+        report = report._replace(branch_flags=(*flags, measured))
     return report
 
 

@@ -12,7 +12,9 @@ x = q^(1/2) (Borwein & Borwein 1987, ch. 4):
     lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x - 128 x^2 + 704 x^3 - ...
 
 E2, E4 and E6 come together from one fixed-point pass over the Lambert series
-sum n^(k-1) q^n / (1 - q^n) with a stated tail bound.
+sum n^(k-1) q^n / (1 - q^n) with a stated tail bound.  s2 = (E4/E6)(E2 -
+3/(pi Im tau)) has weight 0 and its bracket weight 2, so both are summed at
+tau0 from that pass, with no law for E2.
 """
 
 from __future__ import annotations
@@ -71,16 +73,16 @@ class TauPoint(NamedTuple):
     """tau (rounded to ctx) and its reduction: word maps tau0 = (re + i im)/den,
     `reduced` = (re, im, den) in exact integers, from the fundamental domain
     back to tau; x = e^(pi i tau0) and q = x^2 are the nome of tau0, not of
-    tau.  integer_re: Re(tau) is an integer, where E_k and Delta are real."""
+    tau.  real_q: 2 Re(tau) is an integer, so q(tau) is real, and so are
+    E_k, Delta and s2."""
 
     tau: object
-    im: object
     word: TransformWord
     reduced: tuple[int, int, int]
     tau0: object
     x: object
     q: object
-    integer_re: bool
+    real_q: bool
 
 
 def tau_point(tau, ctx: PrecisionCtx) -> TauPoint:
@@ -112,7 +114,7 @@ def _point(tau, ctx: PrecisionCtx, reduce: bool) -> TauPoint:
     reduced, word = reduce_tau(re, im, den) if reduce else ((re, im, den), TransformWord(()))
     tau0, x = _nome(*reduced, ctx)
     tau = ctx.mp.mpc(_quotient(re, den, ctx.mp), _quotient(im, den, ctx.mp))
-    return TauPoint(tau, tau.imag, word, reduced, tau0, x, x * x, re % den == 0)
+    return TauPoint(tau, word, reduced, tau0, x, x * x, 2 * re % den == 0)
 
 
 def _quotient(n: int, den: int, mp):
@@ -134,9 +136,9 @@ def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
 
 
 def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
-    """value at ctx; an mpf at integer Re(tau), where E_k and Delta are real."""
+    """value at ctx; an mpf where q(tau) is real, as are E_k, Delta and s2."""
     value = ctx.complex(value)
-    return value.real if t.integer_re else value
+    return value.real if t.real_q else value
 
 
 def reduce_tau(re: int, im: int, den: int):
@@ -171,7 +173,7 @@ def reduce_tau(re: int, im: int, den: int):
 def _pentagonal_count(y, ctx: PrecisionCtx) -> int:
     """N, the last n _euler sums at y: the first n with n(3n-1)/2 > log(tail_tol) / log|y|,
     so that |y|^(N(3N-1)/2) < tail_tol; 0 when |y| < tail_tol, where even the first term is below it."""
-    ratio = float(ctx.mp.log(ctx.tail_tol) / ctx.mp.log(abs(y)))
+    ratio = (ctx.working_digits + 5) * math.log(10) / -log_abs(y)
     return math.floor((1 + math.sqrt(1 + 24 * ratio)) / 6) + 1 if ratio >= 1 else 0
 
 
@@ -317,8 +319,8 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
 
 def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
     """(E2, E4, E6) at any tau from one Lambert pass at tau0, times (c tau0 + d)^k,
-    plus 6c (c tau0 + d)/(pi i) for E2: mpfs at integer Re(tau), mpcs
-    otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
+    plus 6c (c tau0 + d)/(pi i) for E2: mpfs where 2 Re(tau) is an integer,
+    mpcs otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
     more, all three are computed again at a working precision grown by the
     digits lost, tau0's nome too, so E2 keeps it relative to max(1, |E2|)."""
     wide, tau0, x = ctx, t.tau0, t.x
@@ -356,7 +358,7 @@ def weierstrass_g2_g3(t: TauPoint, ctx: PrecisionCtx):
 
 def delta_tau(t: TauPoint, ctx: PrecisionCtx):
     """Discriminant Delta(tau) = (c tau0 + d)^12 (2 pi)^12 q0 P(q0)^24, with q0
-    the nome of tau0; real at integer Re(tau)."""
+    the nome of tau0; real where 2 Re(tau) is an integer."""
     _, _, c, d = t.word.matrix()
     j6 = ((c * t.tau0 + d) ** 3) ** 2
     value = (2 * pi_reference(ctx)) ** 12 * t.q * _euler(t.q, ctx) ** 24
@@ -412,30 +414,27 @@ def lambda_q_coeffs(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def s2_bracket(t: TauPoint, ctx: PrecisionCtx):
-    """E2(tau) - 3/(pi Im(tau)), the non-holomorphic part of s2."""
-    return _s2_bracket(eisenstein(2, t, ctx), t, ctx)
-
-
-def _s2_bracket(e2, t: TauPoint, ctx: PrecisionCtx):
-    return e2 - 3 / (pi_reference(ctx) * t.im)
+    """E2(tau) - 3/(pi Im tau), the non-holomorphic part of s2.  It has
+    weight 2: (c tau0 + d)^2 (E2(tau0) - 3/(pi Im tau0)), from one pass at tau0."""
+    _, _, c, d = t.word.matrix()
+    e2 = _eisenstein_series(t.q, ctx)[0]
+    return _rounded((c * t.tau0 + d) ** 2 * (e2 - 3 / (pi_reference(ctx) * t.tau0.imag)), t, ctx)
 
 
 def s2(t: TauPoint, ctx: PrecisionCtx):
-    """s2(tau) = (E4/E6)(E2 - 3/(pi Im tau)), all three E_k from one pass;
-    indeterminate where E6 = 0.  Near the orbit of i, where E6 and the bracket
-    both vanish, the pass is made again with the digits E6(tau0) lacks added."""
-    e2, e4, e6 = eisenstein_all(t, ctx)
+    """s2(tau) = (E4/E6)(E2 - 3/(pi Im tau)), of weight 0: summed at tau0 from
+    one pass; indeterminate where E6(tau0), and so E6(tau), is 0.  Near the
+    orbit of i, where E6(tau0) and the bracket both vanish, the pass is made
+    again with the digits E6(tau0) lacks added, at tau0's nome formed anew."""
+    e2, e4, e6 = _eisenstein_series(t.q, ctx)
     if abs(e6) <= ctx.zero_tol:
         raise IndeterminateFormError(
             "E6(tau) vanishes here (e.g. tau = i, 1+i); s2 is 0/0 — "
             "use the combined form cm.combined_s2_term"
         )
-    (re, im, den), (_, _, c, d), wide = t.reduced, t.word.matrix(), ctx
-    lost = math.ceil(1 - ctx.mp.mag(e6 / (c * t.tau0 + d) ** 6) * math.log10(2))
-    if lost > 1:  # tau0, its nome and Im(tau) = Im(tau0) / |c tau0 + d|^2 from the integers
+    lost, wide, tau0 = math.ceil(1 - ctx.mp.mag(e6) * math.log10(2)), ctx, t.tau0
+    if lost > 1:
         wide = ctx_new(ctx.target_digits + lost)
-        tau0, x = _nome(re, im, den, wide)
-        im_tau = _quotient(im * den, (c * re + d * den) ** 2 + (c * im) ** 2, wide.mp)
-        t = t._replace(im=im_tau, tau0=tau0, x=x, q=x * x)
-        e2, e4, e6 = eisenstein_all(t, wide)
-    return _rounded(e4 / e6 * _s2_bracket(e2, t, wide), t, ctx)
+        tau0, x = _nome(*t.reduced, wide)
+        e2, e4, e6 = _eisenstein_series(x * x, wide)
+    return _rounded(e4 / e6 * (e2 - 3 / (pi_reference(wide) * tau0.imag)), t, ctx)

@@ -16,24 +16,16 @@ from typing import NamedTuple
 from .numerics import PrecisionCtx, format_real, format_value
 
 
-class _ReportFields(NamedTuple):
+class FormulaReport(NamedTuple):
+    """One check; to_dict gives its 7-key JSON record."""
+
     label: str
     lhs: str
     rhs: str
     abs_error: str
     digits_requested: int
     passed: bool
-    branch_flags: list[str]
-
-
-class FormulaReport(_ReportFields):
-    """One check.  branch_flags is copied into a list of the report's own,
-    to which a check may append its measured branch factor."""
-
-    __slots__ = ()
-
-    def __new__(cls, label, lhs, rhs, abs_error, digits_requested, passed, branch_flags=()):
-        return super().__new__(cls, label, lhs, rhs, abs_error, digits_requested, passed, list(branch_flags))
+    branch_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {

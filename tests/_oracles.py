@@ -87,7 +87,7 @@ def eta_product(t, ctx):
 
     pi = pi_reference(ctx)
     if t.tau.real == 0:
-        prefactor = mp.exp(-pi * t.im / 12)
+        prefactor = mp.exp(-pi * t.tau.imag / 12)
     else:
         prefactor = mp.exp(mp.mpc(0, 1) * pi * t.tau / 12)
     return prefactor * prod

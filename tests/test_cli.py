@@ -263,15 +263,22 @@ class TestExtremeTau:
         # with a shift of 10^30
         _eval_anywhere(fn, point, 30)
 
-    @pytest.mark.parametrize("fn", ["e2", "e4", "e6", "s2"])
-    def test_real_at_a_half_integer_re(self, capsys, fn):
-        # q = -e^(-80 pi) is real and far below 2^-bits, and so is the
-        # rounding noise in Im q: both are read as 0, not floored to -2^-bits
-        code, out, _ = run(capsys, "eval", "--fn", fn, "--tau=0.5+40i", "--digits", "30")
+    @pytest.mark.parametrize("fn,point", [
+        *(pytest.param(fn, "0.5+40i", id=fn) for fn in ("e2", "e4", "e6", "s2", "delta")),
+        *(pytest.param(fn, point, id=f"{fn}-{point}") for point in ("0.5+1.79634i", "1.5+0.0048552i")
+          for fn in ("e2", "e4", "e6", "s2", "delta")),
+    ])
+    def test_real_at_a_half_integer_re(self, capsys, fn, point):
+        # q(tau) is real where 2 Re(tau) is an integer, and so are E_k, Delta
+        # and s2: the rounding noise of the nome and of the map back along the
+        # word prints no imaginary part.  At 0.5+40i q = -e^(-80 pi) is far
+        # below 2^-bits, and so is the noise in Im q: both are read as 0
+        code, out, _ = run(capsys, "eval", "--fn", fn, f"--tau={point}", "--digits", "30")
         assert code == 0 and "i" not in out
-        with mpmath.workdps(40):
-            expected = 1 - 3 / (40 * mpmath.pi) if fn == "s2" else 1
-            assert abs(mpmath.mpf(out.strip()) - expected) <= mpmath.mpf("1e-29")
+        expected = _tau_oracle(fn, parse_complex(point, ctx_new(530)), 30)
+        with mpmath.workdps(70):
+            scale = abs(expected) if fn == "delta" else max(1, abs(expected))
+            assert abs(mpmath.mpf(out.strip()) - expected) <= mpmath.mpf("1e-29") * scale
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="Python prints integers of any length here")

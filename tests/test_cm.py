@@ -125,7 +125,7 @@ class TestMasterFormula:
         quasi = parse_complex(quasiperiod_relation_check(quad, ctx).lhs, ctx)
         t = cm_tau(quad, ctx)
         pi = pi_reference(ctx)
-        assert abs(thm - quasi / (t.im * pi * pi)) < ctx.real("1e-40")
+        assert abs(thm - quasi / (t.tau.imag * pi * pi)) < ctx.real("1e-40")
 
 
 def _reduced_forms(d_max: int) -> list[tuple[int, int, int]]:

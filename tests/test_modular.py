@@ -260,12 +260,22 @@ class TestEisensteinKernel:
                     n, qn = n + 1, qn * q
                 assert tail <= bound
 
-    @pytest.mark.parametrize("tau", [(0, 2), ("0.3", "0.25"), ("-0.7", "1.3"), (1, "0.8")])
+    @pytest.mark.parametrize("tau", [(0, 2), ("-0.7", "1.3"), (1, "0.8")], ids=["tau0", "tau2", "tau3"])
     def test_s2_bitwise_equals_its_parts(self, tau):
+        # tau0 = 2i, 0.3+1.3i and 1.25i: here summing s2 at tau0 and mapping
+        # its parts back to tau round alike
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
         parts = eisenstein(4, t, ctx) / eisenstein(6, t, ctx) * s2_bracket(t, ctx)
         assert s2(t, ctx) == parts
+
+    def test_s2_equals_its_parts_off_the_reduced_point(self):
+        # c = 1: s2 is summed at tau0, its parts are mapped back to tau
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, "0.3", "0.25"), ctx)
+        value = s2(t, ctx)
+        parts = eisenstein(4, t, ctx) / eisenstein(6, t, ctx) * s2_bracket(t, ctx)
+        assert abs(value - parts) <= ctx.real("1e-295") * max(1, abs(value))
 
 
 class TestDelta:
@@ -505,6 +515,19 @@ class TestS2:
     def test_finite_at_2i(self, ctx50):
         value = s2(tau_point(_mpc(ctx50, 0, 2), ctx50), ctx50)
         assert ctx50.real("0.5") < value < ctx50.real("0.55")
+
+    @pytest.mark.parametrize("seed", [1])
+    def test_weight_laws(self, ctx50, seed):
+        # s2 has weight 0 and its bracket weight 2, with the series summed at
+        # each point itself and through the reduction
+        rng = random.Random(seed)
+        for point in (_raw_point, tau_point) * 5:
+            tau = _mpc(ctx50, repr(rng.uniform(-1, 1)), repr(rng.uniform(0.6, 3)))
+            t, shifted, inverted = (point(w, ctx50) for w in (tau, tau + 1, -1 / tau))
+            value = s2(t, ctx50)
+            assert abs(s2(shifted, ctx50) - value) < ctx50.real("1e-45")
+            assert abs(s2(inverted, ctx50) - value) < ctx50.real("1e-45")
+            assert abs(s2_bracket(inverted, ctx50) - tau**2 * s2_bracket(t, ctx50)) < ctx50.real("1e-45")
 
 
 class TestNormalizedJ:
