@@ -10,16 +10,18 @@ CASE is one of:
            bits of the one series both engines sum, F(1/2) with its weighted
            sum (`_plan`).
   hyp2f1   one `hyp2f1` call on F = 2F1(1/2,1/2;1;z) and F2 = 2F1(3/2,3/2;2;z)
-           at mpf z in 0.3, 0.5, -0.45, 0.9 and at 30, 100 and 300 digits, 3
-           timed calls after a warm-up; counts: the terms `_series` sums
-           (`_plan`), and error_eps = |hyp2f1 - mpmath.hyp2f1| in units of
-           10^-working, with the oracle at 30 more bits.
+           at mpf z in 0.3, 0.5, -0.45, 0.9, at mpc z in 0.3+0.4i, -0.2+0.1i
+           and at 30, 100 and 300 digits, 3 timed calls after a warm-up;
+           counts: the terms `_series` sums (`_plan`), and error_eps =
+           |hyp2f1 - mpmath.hyp2f1| in units of 10^-working, with the oracle
+           at 30 more bits.
   qseries  `tau_point` plus one call of eta, E2, E4, E6 or lambda on its point,
-           at tau = Re + i Im for Re in 0, 0.3 and Im in 0.05, 1/4, 1, at 300
-           digits, 9 timed calls after a warm-up; counts, from the warm-up:
-           lambert_n, the last n of the Lambert sum (`_lambert_count`), and
-           pentagonal_n, the largest last n of a pentagonal sum P(y)
-           (`_pentagonal_count`); null where the function sums no such series.
+           at tau = Re + i Im for Re in 0, 0.3, 0.5 and Im in 0.05, 1/4, 1, at
+           300 digits (the Re = 0.5 points reduce to Re(tau0) = -1/2), 9 timed
+           calls after a warm-up; counts, from the warm-up: lambert_n, the
+           last n of the Lambert sum (`_lambert_count`), and pentagonal_n, the
+           largest last n of a pentagonal sum P(y) (`_pentagonal_count`); null
+           where the function sums no such series.
   startup  one subcommand (pi, verify, eval e4, eval F, cm-report, selftest)
            at a small digit count, timed from a fresh interpreter's
            `from hyperpi.cli import main` to the call's return, as perfbench
@@ -85,8 +87,8 @@ def log_abs(z):
 out = {}
 for digits in (30, 100, 300):
     ctx = numerics.ctx_new(digits)
-    for z_text in ("0.3", "0.5", "-0.45", "0.9"):
-        z = ctx.real(z_text)
+    for z_text in ("0.3", "0.5", "-0.45", "0.9", "0.3+0.4i", "-0.2+0.1i"):
+        z = numerics.parse_complex(z_text, ctx) if z_text.endswith("i") else ctx.real(z_text)
         for name, p in (("F", F_PARAMS), ("F2", F2_PARAMS)):
             value = hyp2f1(p, z, ctx)
             seconds = []
@@ -96,7 +98,7 @@ for digits in (30, 100, 300):
                 seconds.append(time.perf_counter() - start)
             with mpmath.workprec(ctx.mp.prec + 30):
                 a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
-                error = abs(mpmath.mpf(value) - mpmath.hyp2f1(a, b, c, mpmath.mpf(z)))
+                error = abs(mpmath.mpmathify(value) - mpmath.hyp2f1(a, b, c, mpmath.mpmathify(z)))
                 error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
             out[f"{digits} {z_text} {name}"] = {
                 "seconds": seconds,
@@ -132,7 +134,7 @@ def counted(name, fn):
 
 out = {}
 ctx = ctx_new(300)
-for tau_text in (f"{re}+{im}i" for re in ("0", "0.3") for im in ("0.05", "0.25", "1")):
+for tau_text in (f"{re}+{im}i" for re in ("0", "0.3", "0.5") for im in ("0.05", "0.25", "1")):
     re, im = tau_text[:-1].split("+")
     tau = ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im))
     for name, fn in FNS.items():
@@ -191,7 +193,7 @@ class Case(NamedTuple):
 CASES = {
     "pi": Case("seconds of one `hyperpi pi --method M --digits N` call after a warm-up, keyed 'M N'",
                PI_CHILD, [[m, str(d)] for d in (1000, 2000, 10000) for m in ("identity1", "identity2")]),
-    "hyp2f1": Case("seconds of one hyp2f1 call at an mpf argument, keyed 'digits z series'", HYP2F1_CHILD, [[]]),
+    "hyp2f1": Case("seconds of one hyp2f1 call at an mpf or mpc argument, keyed 'digits z series'", HYP2F1_CHILD, [[]]),
     "qseries": Case("seconds of tau_point and one public call on its point (eta, eisenstein(k), lambda), "
                     "keyed 'digits tau fn'", QSERIES_CHILD, [[]]),
     "startup": Case("seconds from a fresh interpreter's `from hyperpi.cli import main` to the return of its "

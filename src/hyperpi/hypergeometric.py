@@ -16,7 +16,8 @@ z = 1/2 and z = -1, whose Pfaff image is 1/2) exactly, with its
 denominator, so it is never rounded.  The loop sums the derivative series
 (DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), as
 u_k = t_(k+1) / z with U0 = sum u_k and U1 = sum (k+1) u_k: U1 is the
-derivative and 1 + z U0 the value, so one pass gives both.  Terms are
+derivative and 1 + z U0 the value, so one pass gives both, adding its terms
+into per-block sums as narrow as the block's first term.  Terms are
 counted on that derivative series, whose tail dominates: from a K found in
 closed form its term ratio stays below rho = (1+|z|)/2, so the tail after a
 term t is below |t| rho / (1-rho), for every rational (a, b; c), and the
@@ -38,6 +39,7 @@ from .numerics import PrecisionCtx, agm, fixed_point, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
+_BLOCK = 64  # terms per block of narrow accumulators in _series
 
 
 class _HypFields(NamedTuple):
@@ -151,9 +153,13 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each term
     is one integer product, a shift and a division by a small integer, kept
     to `bits` fractional bits (_plan bounds the error); a real z skips the
-    imaginary products.  The derivative is U1 = sum (k+1) u_k and the value
-    2^bits + z U0, U0 = sum u_k, formed with that z and floored once per
-    component.  Each is rounded once.
+    imaginary products, and a Fraction z the shift, as 2^s joins the divisor:
+    floor(floor(x / 2^s) / e) = floor(x / (2^s e)).  The terms k0 <= k < k1
+    of a block go into S = sum u_k and W = sum of the running S, as narrow as
+    u_k0, and at its end U0 += S and U1 += (k1+1) S - W = sum (k+1) u_k: two
+    narrow additions per term, and U0 and U1 are the integers of per-term
+    sums, so _plan's bound stands.  The value is 2^bits + z U0, formed with
+    that z and floored once per component.  Each is rounded once.
 
     An mpf or mpc z is read to 2^-2bits (numerics.fixed_point), so no
     integer grows with the gap between its parts.  Each part moves toward 0
@@ -171,22 +177,31 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
     n, bits = _plan(p, log_abs(z), ctx)
     zr, zi, s, d = fixed_point(z, 2 * bits)
+    if isinstance(z, Fraction):  # 2^s joins the divisor: no shift
+        s, d = 0, d << s
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
     ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)
     ui = sum_i = deriv_i = 0
-    for k in range(1, n):
-        num = (an + k * ad) * (bn + k * bd) * cd
-        den = (cn + k * cd) * (k + 1) * dd
-        if zi:
-            nr, ni = num * zr, num * zi
-            ur, ui = (ur * nr - ui * ni >> s) // den, (ur * ni + ui * nr >> s) // den
-            sum_i += ui
-            deriv_i += (k + 1) * ui
-        else:
-            ur = (ur * (num * zr) >> s) // den
-        sum_r += ur
-        deriv_r += (k + 1) * ur
+    for k0 in range(1, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
+        sr = wr = si = wi = 0  # the block's sum of u_k and sum of its running sums
+        for k in range(k0, k1):
+            num = (an + k * ad) * (bn + k * bd) * cd
+            den = (cn + k * cd) * (k + 1) * dd
+            if zi:
+                nr, ni = num * zr, num * zi
+                ur, ui = (ur * nr - ui * ni >> s) // den, (ur * ni + ui * nr >> s) // den
+                si += ui
+                wi += si
+            elif s:
+                ur = (ur * (num * zr) >> s) // den
+            else:
+                ur = ur * (num * zr) // den
+            sr += ur
+            wr += sr
+        sum_r, deriv_r = sum_r + sr, deriv_r + (k1 + 1) * sr - wr
+        sum_i, deriv_i = sum_i + si, deriv_i + (k1 + 1) * si - wi
     value_r = (1 << bits) + (sum_r * zr - sum_i * zi >> s) // d
     value_i = (sum_r * zi + sum_i * zr >> s) // d
     vr, vi, dr, di = (ctx.mp.ldexp(ctx.mp.mpf(x), -bits) for x in (value_r, value_i, deriv_r, deriv_i))

@@ -125,13 +125,18 @@ def _quotient(n: int, den: int, mp):
 def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
     """(tau0, x = e^(pi i tau0)) at ctx for tau0 = (re + i im)/den: x takes
     Re(tau0) mod 2 exactly and pi Im(tau0) with the digits of Im(tau0) added,
-    so it keeps its relative precision at any height; real at integer Re(tau0)."""
+    so it keeps its relative precision at any height.  Where 2 Re(tau0) is an
+    integer x is |x| = e^(-pi Im(tau0)) times 1, i, -1 or -i, with exact zero
+    parts: q = x^2 is real, and P(y) and the Lambert pass take one part."""
     mp = ctx.mp
     r = re % (2 * den)
     wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
-    w = wide.mp
-    x = w.exp(w.mpc(0, pi_reference(wide)) * w.mpc(exact_mpf(r, w), exact_mpf(im, w)) / exact_mpf(den, w))
-    x = ctx.real(x.real) if r % den == 0 else ctx.complex(x)
+    w, pi = wide.mp, pi_reference(wide)
+    if 2 * r % den:
+        x = ctx.complex(w.exp(w.mpc(0, pi) * w.mpc(exact_mpf(r, w), exact_mpf(im, w)) / exact_mpf(den, w)))
+    else:
+        modulus = ctx.real(w.exp(-pi * exact_mpf(im, w) / exact_mpf(den, w)))
+        x = (modulus, mp.mpc(0, modulus), -modulus, mp.mpc(0, -modulus))[2 * r // den]
     return mp.mpc(_quotient(re, den, mp), _quotient(im, den, mp)), x
 
 

@@ -18,7 +18,7 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, _series, legendre_F_F2
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _plan, _series, legendre_F_F2
 from hyperpi.numerics import ctx_new, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -413,6 +413,54 @@ class TestDerivative:
         exact = hyp_derivative(F_PARAMS, z, ctx50)
         # central differences are h^2-limited: ~2/3 of working digits here
         assert abs(fd - exact) < ctx50.real(10) ** (-(ctx50.working_digits // 3))
+
+
+def _per_term_series(p, z, ctx):
+    """(value, derivative, n) as _series gives them, from a per-term loop:
+    each term shifted by s, divided, and added to both full-width sums, the
+    derivative's with its weight k+1."""
+    n, bits = _plan(p, log_abs(z), ctx)
+    zr, zi, s, d = fixed_point(z, 2 * bits)
+    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
+    ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)
+    ui = sum_i = deriv_i = 0
+    for k in range(1, n):
+        num = (an + k * ad) * (bn + k * bd) * cd
+        den = (cn + k * cd) * (k + 1) * ad * bd * d
+        ur, ui = (ur * num * zr - ui * num * zi >> s) // den, (ur * num * zi + ui * num * zr >> s) // den
+        sum_r, sum_i = sum_r + ur, sum_i + ui
+        deriv_r, deriv_i = deriv_r + (k + 1) * ur, deriv_i + (k + 1) * ui
+    value_r = (1 << bits) + (sum_r * zr - sum_i * zi >> s) // d
+    value_i = (sum_r * zi + sum_i * zr >> s) // d
+    vr, vi, dr, di = (ctx.mp.ldexp(ctx.mp.mpf(x), -bits) for x in (value_r, value_i, deriv_r, deriv_i))
+    if hasattr(z, "_mpc_"):
+        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
+    return vr, dr, n
+
+
+class TestBlockSums:
+    """_series sums its terms in blocks and, for a Fraction z, divides by
+    2^s d in one step; its results equal those of the per-term loop."""
+
+    @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
+    def test_at_one_half_for_every_block_remainder(self, p):
+        # 1 to 200 digits make n cover every residue modulo the block length
+        counts = set()
+        for digits in range(1, 201):
+            ctx = ctx_new(digits)
+            got = _series(p, Fraction(1, 2), ctx)
+            assert got == _per_term_series(p, Fraction(1, 2), ctx)
+            counts.add(got[2] % _BLOCK)
+        assert counts == set(range(_BLOCK))
+
+    @pytest.mark.parametrize("digits", [30, 100, 300, 2000])
+    @pytest.mark.parametrize(
+        "spec", [Fraction(3, 7), Fraction(-1, 3), "0.3", "0.9", "-0.45", "1e-30",
+                 ("0.3", "0.4"), ("-0.2", "0.1"), ("0.1", "1e-60")], ids=_point_id)
+    def test_at_fractions_mpfs_and_mpcs(self, digits, spec):
+        ctx = ctx_new(digits)
+        z = _point(ctx, spec)
+        assert _series(F_PARAMS, z, ctx) == _per_term_series(F_PARAMS, z, ctx)
 
 
 class TestLegendreF:

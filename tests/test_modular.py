@@ -86,6 +86,34 @@ class TestTauPoint:
         assert calls == {"reduce_tau": 1, "_nome": 1}
 
 
+HALF_RE_TAU0 = [("0.5", "1.1"), ("-0.5", "0.9"), ("2.5", "0.87"), ("-1.5", "2")]  # Re(tau0) = +-1/2
+
+
+class TestHalfIntegerNome:
+    """At Re(tau0) = +-1/2 the nome x = +-i|x| has an exact zero real part,
+    so q = x^2 has an exact zero imaginary part; the reduced points have
+    Re(tau0) = -1/2 and the unreduced ones also 1/2 and 3/2."""
+
+    @pytest.mark.parametrize("tau", HALF_RE_TAU0, ids="{0[0]}+{0[1]}i".format)
+    def test_exact_zero_parts(self, ctx50, tau):
+        for t in (tau_point(_mpc(ctx50, *tau), ctx50), _raw_point(_mpc(ctx50, *tau), ctx50)):
+            assert t.tau0.real % 1 == 0.5 and t.x.real == 0 and t.q.imag == 0
+            assert t.x * t.x == t.q
+
+    @pytest.mark.parametrize("tau", HALF_RE_TAU0, ids="{0[0]}+{0[1]}i".format)
+    def test_eta_lambda_delta_against_oracles(self, tau):
+        ctx = ctx_new(300)
+        t = tau_point(_mpc(ctx, *tau), ctx)
+        e4, e6 = eisenstein_theta_forms(t.tau, 300)
+        with mpmath.workdps(340):
+            expected = {eta: mpmath.eta(mpmath.mpc(t.tau)), lambda_tau: lambda_theta_quotient(t.tau, 300),
+                        delta_tau: (2 * mpmath.pi) ** 12 * (e4**3 - e6**2) / 1728}
+            for fn, value in expected.items():
+                for point in (t, _raw_point(t.tau, ctx)):
+                    error = abs(mpmath.mpmathify(fn(point, ctx)) - value)
+                    assert error <= mpmath.mpf("1e-295") * max(1, abs(value)), fn.__name__
+
+
 class TestPartsFarApart:
     """The exact integers of tau are as wide as the gap between its two
     parts; the Lambert pass reads q to its own bits, where a part far below
