@@ -19,9 +19,10 @@ CASE is one of:
            at tau = Re + i Im for Re in 0, 0.3, 0.5 and Im in 0.05, 1/4, 1, at
            300 digits (the Re = 0.5 points reduce to Re(tau0) = -1/2), 9 timed
            calls after a warm-up; counts, from the warm-up: lambert_n, the
-           last n of the Lambert sum (`_lambert_count`), and pentagonal_n, the
-           largest last n of a pentagonal sum P(y) (`_pentagonal_count`); null
-           where the function sums no such series.
+           last n of the Lambert sum (`_lambert_count`), pentagonal_n, the
+           largest last n of a pentagonal sum P(y) (`_pentagonal_count`), and
+           pentagonal_passes, the number of pentagonal passes (calls of
+           `_pentagonal_count`); null where the function sums no such series.
   startup  one subcommand (pi, verify, eval e4, eval F, cm-report, selftest)
            at a small digit count, timed from a fresh interpreter's
            `from hyperpi.cli import main` to the call's return, as perfbench
@@ -121,13 +122,14 @@ FNS = {
     "lambda": modular.lambda_tau,
 }
 COUNTERS = {"lambert_n": "_lambert_count", "pentagonal_n": "_pentagonal_count"}
-counts = {}
+counts, calls = {}, {}
 
 
 def counted(name, fn):
     def wrapper(*args):
         n = fn(*args)
         counts[name] = max(counts.get(name, n), n)
+        calls[name] = calls.get(name, 0) + 1
         return n
     return wrapper
 
@@ -139,6 +141,7 @@ for tau_text in (f"{re}+{im}i" for re in ("0", "0.3", "0.5") for im in ("0.05", 
     tau = ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im))
     for name, fn in FNS.items():
         counts.clear()
+        calls.clear()
         originals = {attr: getattr(modular, attr) for attr in COUNTERS.values() if hasattr(modular, attr)}
         for key, attr in COUNTERS.items():
             if attr in originals:  # an older tree may lack one: its count is null
@@ -154,7 +157,8 @@ for tau_text in (f"{re}+{im}i" for re in ("0", "0.3", "0.5") for im in ("0.05", 
             fn(modular.tau_point(tau, ctx), ctx)
             seconds.append(time.perf_counter() - start)
         out[f"300 {tau_text} {name}"] = {"seconds": seconds,
-                                         "counts": {key: counts.get(key) for key in COUNTERS}}
+                                         "counts": {**{key: counts.get(key) for key in COUNTERS},
+                                                    "pentagonal_passes": calls.get("pentagonal_n")}}
 print(json.dumps(out))
 """
 

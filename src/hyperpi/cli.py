@@ -52,7 +52,8 @@ _EVAL_FNS = {
     "e6": {"tau": lambda t, ctx: _module("modular").eisenstein(6, t, ctx)},
     "delta": {"tau": lambda t, ctx: _module("modular").delta_tau(t, ctx)},
     "j": {"lambda": lambda lam, ctx: _module("legendre").normalized_j(lam),
-          "tau": lambda t, ctx: _module("legendre").normalized_j(_module("modular").lambda_tau(t, ctx))},
+          "tau": lambda t, ctx: _module("modular")._rounded(
+              _module("legendre").normalized_j(_module("modular").lambda_tau(t, ctx)), t, ctx)},
     "s2": {"tau": lambda t, ctx: _module("modular").s2(t, ctx)},
     "F": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F(lam, ctx)},
     "F2": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F2(lam, ctx)},

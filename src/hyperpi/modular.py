@@ -6,10 +6,12 @@ Im tau0 >= sqrt(3)/2 and |q| < 0.0044, and forms the nome of tau0.  Each
 public function sums its series there and maps the value back along
 tau = (a tau0 + b)/(c tau0 + d) by the transformation laws in its docstring
 (Apostol, Modular Functions and Dirichlet Series, ch. 1 and 3).  eta, Delta
-and lambda sum one pentagonal series P(y) = prod (1 - y^m), lambda at
-x = q^(1/2) (Borwein & Borwein 1987, ch. 4):
+and lambda sum the pentagonal series P(y) = prod (1 - y^m), one pass giving
+P(y) and P(-y); lambda takes two passes, at x = q^(1/2) and at q.  By
+P(x) P(-x) = P(x^2)^3 / P(x^4) (Borwein & Borwein 1987, ch. 3-4),
 
-    lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x - 128 x^2 + 704 x^3 - ...
+    lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x P(q)^24 / (P(x)^8 P(-x)^16)
+           = 16 x - 128 x^2 + 704 x^3 - ...
 
 E2, E4 and E6 come together from one fixed-point pass over the Lambert series
 sum n^(k-1) q^n / (1 - q^n) with a stated tail bound.  s2 = (E4/E6)(E2 -
@@ -141,7 +143,7 @@ def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
 
 
 def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
-    """value at ctx; an mpf where q(tau) is real, as are E_k, Delta and s2."""
+    """value at ctx; an mpf where q(tau) is real, as are E_k, Delta, s2 and j."""
     value = ctx.complex(value)
     return value.real if t.real_q else value
 
@@ -183,27 +185,38 @@ def _pentagonal_count(y, ctx: PrecisionCtx) -> int:
 
 
 def _euler(y, ctx: PrecisionCtx):
-    """Euler's P(y) = prod (1 - y^m) = sum_{n in Z} (-1)^n y^(n(3n-1)/2) over
-    |n| <= N = _pentagonal_count(y, ctx).  Later exponents start at (N+1)(3N+2)/2
-    and rise by at least 1, so the tail is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|).
-    Exactly 1 when N = 0."""
+    """(P(y), P(-y)) from one pass, Euler's P(y) = prod (1 - y^m) =
+    sum_{n in Z} (-1)^n y^(n(3n-1)/2) over |n| <= N = _pentagonal_count(y, ctx).
+    Later exponents start at (N+1)(3N+2)/2 and rise by at least 1, so the tail
+    is at most 2 |y|^((N+1)(3N+2)/2) / (1 - |y|).  The term y^e of P(-y) is
+    (-1)^e times that of P(y), so the terms of even and of odd e are summed
+    apart, each exactly and rounded once (mp.fsum), and P(+-y) = even +- odd:
+    the same powers as P(y) alone, and as |-y| = |y| the same N and tail
+    bound.  Both exactly 1 when N = 0."""
     mp = ctx.mp
-    total = mp.mpf(1)
+    terms = ([mp.mpf(1)], [])  # the signed terms of even and of odd exponent
     for n in range(1, _pentagonal_count(y, ctx) + 1):
-        term = y ** (n * (3 * n - 1) // 2) + y ** (n * (3 * n + 1) // 2)
-        total = total - term if n % 2 else total + term
-    return total
+        low = n * (3 * n - 1) // 2
+        for e in (low, low + n):
+            terms[e % 2].append(-y ** e if n % 2 else y ** e)
+    even, odd = mp.fsum(terms[0]), mp.fsum(terms[1])
+    return even + odd, even - odd
+
+
+def _nome_root(t: TauPoint, ctx: PrecisionCtx):
+    """q^(1/24) = e^(pi i Re(tau0)/12) |x|^(1/12) at the nome of tau0: the
+    modulus keeps the relative precision of x, and the value is real at
+    Re(tau0) = 0."""
+    mp = ctx.mp
+    root = mp.root(abs(t.x), 12)
+    if t.tau0.real:
+        root *= mp.expjpi(t.tau0.real / 12)
+    return root
 
 
 def _eta_series(t: TauPoint, ctx: PrecisionCtx):
-    """eta(tau0) = q^(1/24) P(q) summed at the nome of tau0, with
-    q^(1/24) = e^(pi i Re(tau0)/12) |x|^(1/12): the modulus keeps the relative
-    precision of x, and the value is real at Re(tau0) = 0."""
-    mp = ctx.mp
-    prefactor = mp.root(abs(t.x), 12)
-    if t.tau0.real:
-        prefactor *= mp.expjpi(t.tau0.real / 12)
-    return prefactor * _euler(t.q, ctx)
+    """eta(tau0) = q^(1/24) P(q) summed at the nome of tau0."""
+    return _nome_root(t, ctx) * _euler(t.q, ctx)[0]
 
 
 def eta(t: TauPoint, ctx: PrecisionCtx):
@@ -366,7 +379,7 @@ def delta_tau(t: TauPoint, ctx: PrecisionCtx):
     the nome of tau0; real where 2 Re(tau) is an integer."""
     _, _, c, d = t.word.matrix()
     j6 = ((c * t.tau0 + d) ** 3) ** 2
-    value = (2 * pi_reference(ctx)) ** 12 * t.q * _euler(t.q, ctx) ** 24
+    value = (2 * pi_reference(ctx)) ** 12 * t.q * _euler(t.q, ctx)[0] ** 24
     return _rounded(value * j6 * j6, t, ctx)
 
 
@@ -380,10 +393,26 @@ def delta_tau_eisenstein(t: TauPoint, ctx: PrecisionCtx):
 # Modular lambda
 # ---------------------------------------------------------------------------
 
+def _lambda_from(x, p_x, p_q):
+    """16 x (P(q)^3 / (P(x) P(-x)^2))^8 from (P(x), P(-x)) = p_x and P(q) = p_q:
+    one 8th power, as mpmath forms a complex power past 10^4 exact bits from
+    exp and log."""
+    p, p_minus = p_x
+    return 16 * x * (p_q ** 3 / (p * p_minus ** 2)) ** 8
+
+
 def _lambda_series(t: TauPoint, ctx: PrecisionCtx):
-    """lambda(tau0) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24, summed at the nome of tau0."""
-    x, q = t.x, t.q
-    return 16 * x * _euler(x, ctx) ** 8 * _euler(q * q, ctx) ** 16 / _euler(q, ctx) ** 24
+    """lambda(tau0) = 16 x P(x)^8 P(x^4)^16 / P(q)^24 = 16 x P(q)^24 / (P(x)^8 P(-x)^16),
+    by P(x) P(-x) = P(q)^3 / P(x^4): two pentagonal passes, at x and at q,
+    at the nome of tau0."""
+    return _lambda_from(t.x, _euler(t.x, ctx), _euler(t.q, ctx)[0])
+
+
+def _eta_lambda_series(t: TauPoint, ctx: PrecisionCtx):
+    """(eta(tau0), lambda(tau0)) from the two passes of lambda: eta's P(q)
+    is lambda's.  The law checks sum both at each unreduced point."""
+    p_q = _euler(t.q, ctx)[0]
+    return _nome_root(t, ctx) * p_q, _lambda_from(t.x, _euler(t.x, ctx), p_q)
 
 
 def lambda_tau(t: TauPoint, ctx: PrecisionCtx):

@@ -27,7 +27,7 @@ from .legendre import (
     homothety_ratios,
     weierstrass_from_lambda,
 )
-from .modular import _eta_series, _lambda_series, _raw_point, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
+from .modular import _eta_lambda_series, _raw_point, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference
 from .reports import FormulaReport, make_report, report_acceptable  # report_acceptable: re-exported
 
@@ -92,7 +92,8 @@ def functional_equation_reports(digits: int, seed: int = 0) -> list[FormulaRepor
     """eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = eta(tau) sqrt(-i tau),
     lambda(tau+1) = lambda/(lambda-1), lambda(-1/tau) = 1 - lambda,
     at seeded random tau with Im in [0.6, 3], each side summed at its own
-    point (Im(-1/tau) >= 0.3): the reduction would map all three to one."""
+    point (Im(-1/tau) >= 0.3): the reduction would map all three to one.
+    eta and lambda at one point share that point's P(q)."""
     ctx = ctx_new(digits)
     mp = ctx.mp
     pi = pi_reference(ctx)
@@ -101,15 +102,14 @@ def functional_equation_reports(digits: int, seed: int = 0) -> list[FormulaRepor
     for k in range(FUNCTIONAL_EQUATION_POINTS):
         tau = mp.mpc(mp.mpf(repr(rng.uniform(-1.0, 1.0))), mp.mpf(repr(rng.uniform(0.6, 3.0))))
         tag = f"tau#{k:02d} seed={seed}"
-        t, shifted, inverted = (_raw_point(z, ctx) for z in (tau, tau + 1, -1 / tau))
-        eta_t = _eta_series(t, ctx)
+        (eta_t, lam), (eta_shifted, lam_shifted), (eta_inverted, lam_inverted) = (
+            _eta_lambda_series(_raw_point(z, ctx), ctx) for z in (tau, tau + 1, -1 / tau))
         rhs = mp.exp(mp.mpc(0, pi / 12)) * eta_t
-        reports.append(make_report(f"eta-T {tag}", _eta_series(shifted, ctx), rhs, ctx))
+        reports.append(make_report(f"eta-T {tag}", eta_shifted, rhs, ctx))
         rhs = eta_t * mp.sqrt(mp.mpc(0, -1) * tau)
-        reports.append(make_report(f"eta-S {tag}", _eta_series(inverted, ctx), rhs, ctx))
-        lam = _lambda_series(t, ctx)
-        reports.append(make_report(f"lambda-T {tag}", _lambda_series(shifted, ctx), lam / (lam - 1), ctx))
-        reports.append(make_report(f"lambda-S {tag}", _lambda_series(inverted, ctx), 1 - lam, ctx))
+        reports.append(make_report(f"eta-S {tag}", eta_inverted, rhs, ctx))
+        reports.append(make_report(f"lambda-T {tag}", lam_shifted, lam / (lam - 1), ctx))
+        reports.append(make_report(f"lambda-S {tag}", lam_inverted, 1 - lam, ctx))
     return reports
 
 

@@ -267,12 +267,14 @@ class TestExtremeTau:
         *(pytest.param(fn, "0.5+40i", id=fn) for fn in ("e2", "e4", "e6", "s2", "delta")),
         *(pytest.param(fn, point, id=f"{fn}-{point}") for point in ("0.5+1.79634i", "1.5+0.0048552i")
           for fn in ("e2", "e4", "e6", "s2", "delta")),
+        *(pytest.param("j", point, id=f"j-{point}") for point in ("0.5+0.05i", "-1.5+2i", "-0.5+0.87i")),
     ])
     def test_real_at_a_half_integer_re(self, capsys, fn, point):
-        # q(tau) is real where 2 Re(tau) is an integer, and so are E_k, Delta
-        # and s2: the rounding noise of the nome and of the map back along the
-        # word prints no imaginary part.  At 0.5+40i q = -e^(-80 pi) is far
-        # below 2^-bits, and so is the noise in Im q: both are read as 0
+        # q(tau) is real where 2 Re(tau) is an integer, and so are E_k, Delta,
+        # s2 and j: the rounding noise of the nome and of the map back along
+        # the word (for j, of the complex lambda it is formed from) prints no
+        # imaginary part.  At 0.5+40i q = -e^(-80 pi) is far below 2^-bits,
+        # and so is the noise in Im q: both are read as 0
         code, out, _ = run(capsys, "eval", "--fn", fn, f"--tau={point}", "--digits", "30")
         assert code == 0 and "i" not in out
         expected = _tau_oracle(fn, parse_complex(point, ctx_new(530)), 30)

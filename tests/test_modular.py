@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,16 @@ from hyperpi import (
     tau_point,
 )
 from hyperpi import modular, suite
-from hyperpi.modular import _eisenstein_series, _lambda_series, _lambert_count, _raw_point
+from hyperpi.modular import (
+    _eisenstein_series,
+    _eta_lambda_series,
+    _eta_series,
+    _euler,
+    _lambda_series,
+    _lambert_count,
+    _pentagonal_count,
+    _raw_point,
+)
 
 from _oracles import (
     ETA_I,
@@ -470,20 +480,82 @@ class TestLambdaReduced:
 
     def test_suite_reports_sum_the_series_at_both_points(self, monkeypatch):
         # each eta and lambda functional-equation report evaluates the series
-        # at tau and at tau+1 or -1/tau, not the law against itself
-        seen = {}
-        for name in ("_eta_series", "_lambda_series"):
-            assert getattr(suite, name) is getattr(modular, name)
+        # at tau and at tau+1 or -1/tau, not the law against itself; one call
+        # sums eta and lambda at one point
+        assert suite._eta_lambda_series is modular._eta_lambda_series
+        points = []
 
-            def record(t, ctx, _points=seen.setdefault(name, []), _fn=getattr(suite, name)):
-                _points.append(t.tau)
-                return _fn(t, ctx)
-            monkeypatch.setattr(suite, name, record)
+        def record(t, ctx, _fn=suite._eta_lambda_series):
+            points.append(t.tau)
+            return _fn(t, ctx)
+        monkeypatch.setattr(suite, "_eta_lambda_series", record)
         suite.functional_equation_reports(30, seed=0)
-        for points in seen.values():
-            bases = [tau for tau in points if tau + 1 in points and -1 / tau in points]
-            assert len(points) == 3 * suite.FUNCTIONAL_EQUATION_POINTS
-            assert len(bases) == suite.FUNCTIONAL_EQUATION_POINTS
+        bases = [tau for tau in points if tau + 1 in points and -1 / tau in points]
+        assert len(points) == 3 * suite.FUNCTIONAL_EQUATION_POINTS
+        assert len(bases) == suite.FUNCTIONAL_EQUATION_POINTS
+
+
+def _one_sided_euler(y, ctx):
+    """P(y) alone, summed term by term: the reference for the three-pass
+    product below."""
+    total = ctx.mp.mpf(1)
+    for n in range(1, _pentagonal_count(y, ctx) + 1):
+        term = y ** (n * (3 * n - 1) // 2) + y ** (n * (3 * n + 1) // 2)
+        total = total - term if n % 2 else total + term
+    return total
+
+
+def _three_pass_lambda(t, ctx):
+    """lambda(tau0) = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24, one pass at each of
+    x, x^2 and x^4: the product before the identity P(x) P(-x) = P(x^2)^3 / P(x^4)."""
+    x, q = t.x, t.q
+    return 16 * x * _one_sided_euler(x, ctx) ** 8 * _one_sided_euler(q * q, ctx) ** 16 / _one_sided_euler(q, ctx) ** 24
+
+
+def _seeded_nomes(seed, count):
+    """count seeded y with |y| <= 0.4, half of them real, the rest complex."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(count):
+        r, angle = rng.uniform(0.01, 0.4), rng.uniform(-3.14, 3.14)
+        if k % 2:
+            points.append((repr(r * math.cos(angle)), repr(r * math.sin(angle))))
+        else:
+            points.append((repr(r if k % 4 else -r), "0"))
+    return points
+
+
+@pytest.mark.parametrize("digits", [30, 100, 300])
+class TestPentagonalPasses:
+    def test_both_sums_against_q_pochhammer(self, digits):
+        ctx = ctx_new(digits)
+        for re, im in _seeded_nomes(digits, 8) + [("0.4", "0"), ("-0.4", "0"), ("0", "0.4"), ("1e-400", "0")]:
+            y = _mpc(ctx, re, im) if im != "0" else ctx.real(re)
+            plus, minus = _euler(y, ctx)
+            with mpmath.workdps(digits + 40):
+                for value, at in ((plus, y), (minus, -y)):
+                    assert abs(mpmath.mpmathify(value) - mpmath.qp(at)) < mpmath.mpf(10) ** (3 - ctx.working_digits)
+
+    def test_two_passes_against_three(self, digits):
+        ctx = ctx_new(digits)
+        rng = random.Random(digits)
+        taus = [_mpc(ctx, repr(rng.uniform(-1, 1)), repr(rng.uniform(0.6, 3))) for _ in range(4)]
+        taus += [_mpc(ctx, "0.5", "1.1"), _mpc(ctx, "-0.5", "0.87"), _mpc(ctx, 0, 1)]
+        for tau in taus:
+            for t in (tau_point(tau, ctx), _raw_point(tau, ctx)):
+                expected = _three_pass_lambda(t, ctx)
+                _assert_relative(_lambda_series(t, ctx), expected, ctx)
+        for tau in taus[:3]:
+            t = _raw_point(tau, ctx)
+            _assert_lambda_matches_oracle(_lambda_series(t, ctx), t.tau, digits, f"1e-{digits}")
+
+    def test_eta_and_lambda_share_a_point(self, digits):
+        # the law checks' per-point sums are eta's and lambda's own series, bit for bit
+        ctx = ctx_new(digits)
+        rng = random.Random(digits + 2)
+        for _ in range(3):
+            t = _raw_point(_mpc(ctx, repr(rng.uniform(-1, 1)), repr(rng.uniform(0.6, 3))), ctx)
+            assert _eta_lambda_series(t, ctx) == (_eta_series(t, ctx), _lambda_series(t, ctx))
 
 
 # Points near the real axis, where the series at tau itself would need
