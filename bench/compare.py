@@ -29,10 +29,10 @@ CASE is one of:
            times setup_s; counts: the hyperpi modules loaded and the number of
            modules the import and the call added to sys.modules.
 
-Each case's child program runs in fresh interpreters that import hyperpi from
-the given tree: pi and startup start one per sample, hyp2f1 and qseries one
-per tree and repeat, which times every key.  The trees alternate, and which one
-goes first alternates with the repeat.  A child prints
+Each case's child program runs in a fresh interpreter that imports hyperpi
+from the given tree, one per key, tree and repeat, so that no interpreter's
+speed lands on more than one key.  The trees alternate key by key, and which
+one goes first alternates with the repeat.  A child prints
 {key: {"seconds": [...], "counts": {...}}}; the report pools the seconds of each
 key and side and takes the counts of the first repeat.  A call that exits
 nonzero stops the run.
@@ -85,27 +85,24 @@ def log_abs(z):
         return numerics.log_abs(*numerics.fixed_point(z))
 
 
-out = {}
-for digits in (30, 100, 300):
-    ctx = numerics.ctx_new(digits)
-    for z_text in ("0.3", "0.5", "-0.45", "0.9", "0.3+0.4i", "-0.2+0.1i"):
-        z = numerics.parse_complex(z_text, ctx) if z_text.endswith("i") else ctx.real(z_text)
-        for name, p in (("F", F_PARAMS), ("F2", F2_PARAMS)):
-            value = hyp2f1(p, z, ctx)
-            seconds = []
-            for _ in range(3):
-                start = time.perf_counter()
-                hyp2f1(p, z, ctx)
-                seconds.append(time.perf_counter() - start)
-            with mpmath.workprec(ctx.mp.prec + 30):
-                a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
-                error = abs(mpmath.mpmathify(value) - mpmath.hyp2f1(a, b, c, mpmath.mpmathify(z)))
-                error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
-            out[f"{digits} {z_text} {name}"] = {
-                "seconds": seconds,
-                "counts": {"terms": _plan(p, log_abs(z), ctx)[0], "error_eps": float(f"{error_eps:.3g}")},
-            }
-print(json.dumps(out))
+digits, z_text, name = int(sys.argv[2]), sys.argv[3], sys.argv[4]
+p = {"F": F_PARAMS, "F2": F2_PARAMS}[name]
+ctx = numerics.ctx_new(digits)
+z = numerics.parse_complex(z_text, ctx) if z_text.endswith("i") else ctx.real(z_text)
+value = hyp2f1(p, z, ctx)
+seconds = []
+for _ in range(3):
+    start = time.perf_counter()
+    hyp2f1(p, z, ctx)
+    seconds.append(time.perf_counter() - start)
+with mpmath.workprec(ctx.mp.prec + 30):
+    a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
+    error = abs(mpmath.mpmathify(value) - mpmath.hyp2f1(a, b, c, mpmath.mpmathify(z)))
+    error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
+print(json.dumps({f"{digits} {z_text} {name}": {
+    "seconds": seconds,
+    "counts": {"terms": _plan(p, log_abs(z), ctx)[0], "error_eps": float(f"{error_eps:.3g}")},
+}}))
 """
 
 QSERIES_CHILD = """
@@ -134,32 +131,28 @@ def counted(name, fn):
     return wrapper
 
 
-out = {}
+tau_text, name = sys.argv[2], sys.argv[3]
+fn = FNS[name]
 ctx = ctx_new(300)
-for tau_text in (f"{re}+{im}i" for re in ("0", "0.3", "0.5") for im in ("0.05", "0.25", "1")):
-    re, im = tau_text[:-1].split("+")
-    tau = ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im))
-    for name, fn in FNS.items():
-        counts.clear()
-        calls.clear()
-        originals = {attr: getattr(modular, attr) for attr in COUNTERS.values() if hasattr(modular, attr)}
-        for key, attr in COUNTERS.items():
-            if attr in originals:  # an older tree may lack one: its count is null
-                setattr(modular, attr, counted(key, originals[attr]))
-        try:
-            fn(modular.tau_point(tau, ctx), ctx)
-        finally:
-            for attr, original in originals.items():
-                setattr(modular, attr, original)
-        seconds = []
-        for _ in range(9):
-            start = time.perf_counter()
-            fn(modular.tau_point(tau, ctx), ctx)
-            seconds.append(time.perf_counter() - start)
-        out[f"300 {tau_text} {name}"] = {"seconds": seconds,
-                                         "counts": {**{key: counts.get(key) for key in COUNTERS},
-                                                    "pentagonal_passes": calls.get("pentagonal_n")}}
-print(json.dumps(out))
+re, im = tau_text[:-1].split("+")
+tau = ctx.mp.mpc(ctx.mp.mpf(re), ctx.mp.mpf(im))
+originals = {attr: getattr(modular, attr) for attr in COUNTERS.values() if hasattr(modular, attr)}
+for key, attr in COUNTERS.items():
+    if attr in originals:  # an older tree may lack one: its count is null
+        setattr(modular, attr, counted(key, originals[attr]))
+try:
+    fn(modular.tau_point(tau, ctx), ctx)
+finally:
+    for attr, original in originals.items():
+        setattr(modular, attr, original)
+seconds = []
+for _ in range(9):
+    start = time.perf_counter()
+    fn(modular.tau_point(tau, ctx), ctx)
+    seconds.append(time.perf_counter() - start)
+print(json.dumps({f"300 {tau_text} {name}": {"seconds": seconds,
+                                             "counts": {**{key: counts.get(key) for key in COUNTERS},
+                                                        "pentagonal_passes": calls.get("pentagonal_n")}}}))
 """
 
 STARTUP_CHILD = """
@@ -191,15 +184,19 @@ STARTUP_ARGV = {
 class Case(NamedTuple):
     what: str
     child: str
-    runs: list  # the child's arguments after the tree, one interpreter each per tree and repeat
+    runs: list  # the child's arguments after the tree, one key each, one interpreter each per tree and repeat
 
 
 CASES = {
     "pi": Case("seconds of one `hyperpi pi --method M --digits N` call after a warm-up, keyed 'M N'",
                PI_CHILD, [[m, str(d)] for d in (1000, 2000, 10000) for m in ("identity1", "identity2")]),
-    "hyp2f1": Case("seconds of one hyp2f1 call at an mpf or mpc argument, keyed 'digits z series'", HYP2F1_CHILD, [[]]),
+    "hyp2f1": Case("seconds of one hyp2f1 call at an mpf or mpc argument, keyed 'digits z series'", HYP2F1_CHILD,
+                   [[str(d), z, name] for d in (30, 100, 300)
+                    for z in ("0.3", "0.5", "-0.45", "0.9", "0.3+0.4i", "-0.2+0.1i") for name in ("F", "F2")]),
     "qseries": Case("seconds of tau_point and one public call on its point (eta, eisenstein(k), lambda), "
-                    "keyed 'digits tau fn'", QSERIES_CHILD, [[]]),
+                    "keyed 'digits tau fn'", QSERIES_CHILD,
+                    [[f"{re}+{im}i", name] for re in ("0", "0.3", "0.5") for im in ("0.05", "0.25", "1")
+                     for name in ("eta", "E2", "E4", "E6", "lambda")]),
     "startup": Case("seconds from a fresh interpreter's `from hyperpi.cli import main` to the return of its "
                     "first call, keyed by subcommand", STARTUP_CHILD, [[k, *argv] for k, argv in STARTUP_ARGV.items()]),
 }

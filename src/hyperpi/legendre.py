@@ -15,8 +15,9 @@ quasi-period H1 fixed by Bruns' differential relation
     H1 = -2 lambda (lambda - 1) dOmega1/dlambda - ((2 lambda - 1)/3) Omega1.
 
 The check_* operations compare the eta/discriminant route for the period
-against the hypergeometric route; certified quantities elsewhere never
-depend on them (they are verifications, not inputs).
+against the hypergeometric route, with every root taken from eta products,
+so no branch is chosen; certified quantities elsewhere never depend on them
+(they are verifications, not inputs).
 """
 
 from __future__ import annotations
@@ -222,87 +223,65 @@ def homothety_ratios(t: TauPoint, ctx: PrecisionCtx):
 # Period-identity checks (eta route vs hypergeometric route)
 # ---------------------------------------------------------------------------
 
-def _period_sides(t: TauPoint, curve: LegendreCurve, scale, F_arg, ctx: PrecisionCtx):
-    """(lhs, rhs) of omega1 = 2^(1/3) pi [i/scale] (l(1-l))^(1/6) disc^(-1/12) F(F_arg).
+def _eta_roots(t: TauPoint, ctx: PrecisionCtx):
+    """(disc^(1/12), (l(1-l))^(1/6), sqrt(1-l)) at l = lambda(tau), as eta
+    products with no branch to choose (Borwein & Borwein 1987, ch. 3-4):
+    l(1-l) = 16 eta(tau/2)^24 eta(2 tau)^24 / eta(tau)^48 and
+    1-l = eta(tau/2)^16 eta(2 tau)^8 / eta(tau)^24.  With
+    R = eta(tau/2)^4 eta(2 tau)^4 / eta(tau)^8 they are 2 R, 2^(2/3) R and
+    eta(tau/2)^8 eta(2 tau)^4 / eta(tau)^12."""
+    from .modular import eta, tau_point
+
+    half, double = (eta(tau_point(z, ctx), ctx) for z in (t.tau / 2, 2 * t.tau))
+    one = eta(t, ctx)
+    r = (half * double / (one * one)) ** 4
+    return 2 * r, ctx.mp.cbrt(4) * r, half ** 8 * double ** 4 / one ** 12
+
+
+def _period_report(name: str, t: TauPoint, form, ctx: PrecisionCtx) -> FormulaReport:
+    """Report of omega1 = 2^(1/3) pi [i/scale] (l(1-l))^(1/6) disc^(-1/12) F(F_arg)
+    at l = lambda(tau), with (scale, F_arg) = form(l, sqrt(1-l)) (scale None
+    for no factor) and every root from _eta_roots.
 
     lhs is the eta route Delta(tau)^(1/12) / disc^(1/12), with
     Delta(tau)^(1/12) written as 2 pi eta(tau)^2 (no 12th root of Delta is
-    ever taken); rhs is the hypergeometric route.  scale is None around
-    infinity, tau around 0 and (tau+1) sqrt(1-l) around 1.
+    ever taken); rhs is the hypergeometric route.
     """
     from .hypergeometric import legendre_F
-    from .modular import eta
+    from .modular import eta, lambda_tau
+    from .reports import make_report
 
     mp = ctx.mp
     pi = pi_reference(ctx)
-    lam = curve.lam
-    disc_12 = curve.disc ** (mp.mpf(1) / 12)
-    prefactor = mp.mpf(2) ** (mp.mpf(1) / 3) * pi
+    disc_12, prod_6, sqrt_1ml = _eta_roots(t, ctx)
+    scale, F_arg = form(lambda_tau(t, ctx), sqrt_1ml)
+    prefactor = mp.cbrt(2) * pi
     if scale is not None:
         prefactor = prefactor * mp.mpc(0, 1) / scale
-    rhs = prefactor * (lam * (1 - lam)) ** (mp.mpf(1) / 6) / disc_12 * legendre_F(F_arg, ctx)
-    return 2 * pi * eta(t, ctx) ** 2 / disc_12, rhs
+    rhs = prefactor * prod_6 / disc_12 * legendre_F(F_arg, ctx)
+    lhs = 2 * pi * eta(t, ctx) ** 2 / disc_12
+    return make_report(f"{name} tau={format_value(t.tau, ctx, 6)}", lhs, rhs, ctx)
 
 
-def _real_in_unit_interval(lam, ctx) -> bool:
-    z = ctx.complex(lam)
-    return abs(z.imag) <= ctx.eps * 16 and 0 < z.real < 1
-
-
-_SIXTH_ROOT_UNVERIFIED = "lambda outside (0,1): principal sixth root unverified"
-
-
-def check_theorem_period(t: TauPoint, curve: LegendreCurve, ctx: PrecisionCtx) -> FormulaReport:
+def check_theorem_period(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
     """Around infinity: omega1 = 2^(1/3) pi (l(1-l))^(1/6) disc^(-1/12) F(l).
 
     lhs comes from the eta/discriminant route, rhs from the hypergeometric
-    route; curve should be built from lambda(tau).
+    route, with the roots taken from eta products (_eta_roots).
     """
-    from .reports import make_report
-
-    flags = () if _real_in_unit_interval(curve.lam, ctx) else (_SIXTH_ROOT_UNVERIFIED,)
-    lhs, rhs = _period_sides(t, curve, None, curve.lam, ctx)
-    return make_report(f"period-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
+    return _period_report("period-identity", t, lambda lam, _: (None, lam), ctx)
 
 
 def check_theorem_transform(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
-    """Around 0: omega1 = 2^(1/3) (pi i / tau) (l(1-l))^(1/6) disc^(-1/12) F(1-l)."""
-    from .modular import lambda_tau
-    from .reports import make_report
-
-    lam = lambda_tau(t, ctx)
-    flags = () if _real_in_unit_interval(lam, ctx) else (_SIXTH_ROOT_UNVERIFIED,)
-    lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), t.tau, 1 - lam, ctx)
-    return make_report(f"transform-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
+    """Around 0: omega1 = 2^(1/3) (pi i / tau) (l(1-l))^(1/6) disc^(-1/12) F(1-l),
+    the roots taken from eta products."""
+    return _period_report("transform-identity", t, lambda lam, _: (t.tau, 1 - lam), ctx)
 
 
 def check_theorem_around1(t: TauPoint, ctx: PrecisionCtx) -> FormulaReport:
-    """Around 1: omega1 = 2^(1/3) pi i / ((tau+1) sqrt(1-l)) (l(1-l))^(1/6)
-    disc^(-1/12) F(1/(1-l)), all branches principal.
-
-    Near tau = 1, lambda is large negative, so lambda(1-lambda) sits on the
-    negative real axis and the principal sixth root is a convention, not a
-    theorem; on mismatch the report quantifies the constant lhs/rhs factor
-    instead of asserting a branch choice.
-    """
-    from .modular import lambda_tau
-    from .reports import make_report
-
-    mp = ctx.mp
-    lam = lambda_tau(t, ctx)
-    flags = ()
-    if _near_negative_cut(lam * (1 - lam), ctx):
-        flags = ("lambda(1-lambda) on the negative real cut: principal branch is a convention",)
-    scale = (t.tau + 1) * mp.sqrt(1 - lam)
-    lhs, rhs = _period_sides(t, weierstrass_from_lambda(lam), scale, 1 / (1 - lam), ctx)
-    report = make_report(f"around-one-identity tau={_tau_label(t, ctx)}", lhs, rhs, ctx, flags)
-    if not report.passed:
-        ratio = lhs / rhs
-        measured = (f"measured lhs/rhs = {format_value(ratio, ctx, 40)} "
-                    f"(|ratio| = {ctx.mp.nstr(abs(ratio), 40)})")
-        report = report._replace(branch_flags=(*flags, measured))
-    return report
-
-
-def _tau_label(t: TauPoint, ctx: PrecisionCtx) -> str:
-    return format_value(t.tau, ctx, 6)
+    """Around 1: omega1 = 2^(1/3) pi i / ((tau-1) sqrt(1-l)) (l(1-l))^(1/6)
+    disc^(-1/12) F(1/(1-l)), sqrt(1-l) and the other roots taken from eta
+    products.  The factor is (tau-1): with (tau+1), as printed, lhs/rhs
+    is (tau+1)/(tau-1), 1-4i at tau = 1 + i/2."""
+    return _period_report("around-one-identity", t,
+                          lambda lam, root: ((t.tau - 1) * root, 1 / (1 - lam)), ctx)

@@ -376,10 +376,15 @@ def weierstrass_g2_g3(t: TauPoint, ctx: PrecisionCtx):
 
 def delta_tau(t: TauPoint, ctx: PrecisionCtx):
     """Discriminant Delta(tau) = (c tau0 + d)^12 (2 pi)^12 q0 P(q0)^24, with q0
-    the nome of tau0; real where 2 Re(tau) is an integer."""
+    the nome of tau0; real where 2 Re(tau) is an integer.  P^24 is P^3
+    squared three times, as mpmath forms a complex power past 10^4 exact
+    bits from exp and log."""
     _, _, c, d = t.word.matrix()
     j6 = ((c * t.tau0 + d) ** 3) ** 2
-    value = (2 * pi_reference(ctx)) ** 12 * t.q * _euler(t.q, ctx)[0] ** 24
+    p24 = _euler(t.q, ctx)[0] ** 3
+    for _ in range(3):
+        p24 *= p24
+    value = (2 * pi_reference(ctx)) ** 12 * t.q * p24
     return _rounded(value * j6 * j6, t, ctx)
 
 

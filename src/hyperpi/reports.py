@@ -5,7 +5,9 @@ absolute error, and a pass flag.  The pass rule is fixed:
 
     pass  <=>  abs_error < 10^(-digits_requested + 5)
 
-the 5-digit slack absorbing final rounding and series tail bounds.
+the 5-digit slack absorbing final rounding and series tail bounds.  It is
+the only rule: verify, cm-report and selftest exit 0 exactly when every
+report they print passes.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ def make_report(label, lhs, rhs, ctx: PrecisionCtx, branch_flags=(), digits=None
 
 
 def report_acceptable(report: FormulaReport) -> bool:
-    """Pass, except the around-one identity may instead carry a quantified
-    branch-discrepancy flag (its principal-branch convention is open)."""
-    if report.passed:
-        return True
-    return report.label.startswith("around-one-identity") and any(
-        "measured lhs/rhs" in flag for flag in report.branch_flags
-    )
+    """report.passed: every check is held to the one pass rule.  Kept because
+    the benchmark harness imports it from hyperpi.suite."""
+    return report.passed

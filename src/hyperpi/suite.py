@@ -25,7 +25,6 @@ from .legendre import (
     check_theorem_period,
     check_theorem_transform,
     homothety_ratios,
-    weierstrass_from_lambda,
 )
 from .modular import _eta_lambda_series, _raw_point, eisenstein, lambda_q_coeffs, lambda_tau, tau_point
 from .numerics import PrecisionCtx, ctx_new, pi_reference
@@ -155,21 +154,14 @@ def _residual_report(label: str, residual, ctx: PrecisionCtx) -> FormulaReport:
 
 
 def theorem_check_reports(digits: int) -> list[FormulaReport]:
-    """Period identities: around infinity at 2i, 3i; around 0 at i/2, i/3;
-    around 1 at 1 + i/2 (the last may report a quantified branch factor)."""
+    """Period identities, every root from eta products: around infinity at
+    2i, 3i; around 0 at i/2, i/3; around 1 at 1 + i/2."""
     ctx = ctx_new(digits)
     mp = ctx.mp
-    reports = []
-    for y in (2, 3):
-        t = tau_point(mp.mpc(0, y), ctx)
-        curve = weierstrass_from_lambda(lambda_tau(t, ctx))
-        reports.append(check_theorem_period(t, curve, ctx))
-    for y in (Fraction(1, 2), Fraction(1, 3)):
-        t = tau_point(mp.mpc(0, ctx.real(y)), ctx)
-        reports.append(check_theorem_transform(t, ctx))
-    t = tau_point(mp.mpc(1, ctx.real(Fraction(1, 2))), ctx)
-    reports.append(check_theorem_around1(t, ctx))
-    return reports
+    points = [(check_theorem_period, mp.mpc(0, y)) for y in (2, 3)]
+    points += [(check_theorem_transform, mp.mpc(0, ctx.real(y))) for y in (Fraction(1, 2), Fraction(1, 3))]
+    points.append((check_theorem_around1, mp.mpc(1, ctx.real(Fraction(1, 2)))))
+    return [check(tau_point(tau, ctx), ctx) for check, tau in points]
 
 
 def homothety_reports(digits: int) -> list[FormulaReport]:

@@ -121,16 +121,10 @@ def test_criterion_10_ode_residuals_on_grid():
 
 def test_criterion_11_period_identity_checks():
     reports = theorem_check_reports(50)
-    by_label = {r.label: r for r in reports}
-    for label, report in by_label.items():
-        if label.startswith("around-one"):
-            quantified = any("measured lhs/rhs" in f for f in report.branch_flags)
-            assert report.passed or quantified, report.summary_line()
-        else:
-            assert report.passed, report.summary_line()
-    around1 = next(r for r in reports if r.label.startswith("around-one"))
-    note = "passes" if around1.passed else f"branch-quantified: {around1.branch_flags[-1]}"
-    _announce(11, f"period identities at 2i,3i and i/2,i/3 pass to 1e-45; around-one {note}")
+    assert len(reports) == 5
+    _assert_all(reports)
+    worst = max(r.abs_error for r in reports)
+    _announce(11, f"period identities at 2i,3i, i/2,i/3 and 1+i/2: worst {worst} < 1e-45")
 
 
 @pytest.mark.parametrize("which", [1, 2])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hyperpi
 from hyperpi import ctx_new, parse_complex, pi_reference_digits
 from hyperpi.cli import _EVAL_FNS, main
-from hyperpi.suite import agm_oracle_reports, functional_equation_reports
+from hyperpi.suite import agm_oracle_reports, functional_equation_reports, selftest_reports
 
 from _oracles import LAM_2I, e2_divisor_sum, eisenstein_theta_forms, lambda_theta_quotient
 
@@ -424,6 +424,19 @@ class TestSelftest:
         assert code == 0
         for line in out.strip().splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_report_passes(self, seed):
+        # the benchmark's selftest workload counts 113 lines
+        reports = selftest_reports(30, seed)
+        assert len(reports) == 113
+        failed = [r.summary_line() for r in reports if not r.passed]
+        assert not failed, failed
+
+    def test_last_line_counts_every_report(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--digits", "30", "--seed", "7")
+        assert code == 0
+        assert out.splitlines()[-1] == "113/113 checks passed"
 
 
 class TestSuiteDeterminism:
