@@ -5,10 +5,10 @@
 CASE is one of:
 
   pi       one `hyperpi pi --method identity1|identity2 --digits N` call for N
-           in 1000, 2000 and 10000, timed after a 50-digit warm-up call (mpmath
-           fills its caches on first use); counts: the terms and fractional
-           bits of the one series both engines sum, F(1/2) with its weighted
-           sum (`_plan`).
+           in 1000, 2000, 10000 and 30000, timed after a 50-digit warm-up call
+           (mpmath fills its caches on first use); counts: the terms and
+           fractional bits of the one series both engines sum, F(1/2) with its
+           weighted sum (`_plan`).
   hyp2f1   one `hyp2f1` call on F = 2F1(1/2,1/2;1;z) and F2 = 2F1(3/2,3/2;2;z)
            at mpf z in 0.3, 0.5, -0.45, 0.9, at mpc z in 0.3+0.4i, -0.2+0.1i
            and at 30, 100 and 300 digits, 3 timed calls after a warm-up;
@@ -189,7 +189,7 @@ class Case(NamedTuple):
 
 CASES = {
     "pi": Case("seconds of one `hyperpi pi --method M --digits N` call after a warm-up, keyed 'M N'",
-               PI_CHILD, [[m, str(d)] for d in (1000, 2000, 10000) for m in ("identity1", "identity2")]),
+               PI_CHILD, [[m, str(d)] for d in (1000, 2000, 10000, 30000) for m in ("identity1", "identity2")]),
     "hyp2f1": Case("seconds of one hyp2f1 call at an mpf or mpc argument, keyed 'digits z series'", HYP2F1_CHILD,
                    [[str(d), z, name] for d in (30, 100, 300)
                     for z in ("0.3", "0.5", "-0.45", "0.9", "0.3+0.4i", "-0.2+0.1i") for name in ("F", "F2")]),

@@ -152,9 +152,11 @@ def pi_from_identity(which: int, digits: int) -> str:
     Returns the first `digits` significant digits, truncated, e.g.
     pi_from_identity(1, 10) == "3.141592653".  The z = 1/2 series gains
     about 0.30 decimal digits per term, so it needs about 3.3 terms per
-    digit, each one product, one small division and two additions on a
-    fixed-point term of at most 3.3 bits per digit, falling a bit per term;
-    the cost grows about as digits^2.
+    digit, summed 64 at a time (hypergeometric._block): per block one
+    division of a fixed-point term of at most 3.3 bits per digit by the
+    product of the block's 64 small denominators, and three products by
+    integers of that size, where a per-term loop makes 64 products and 64
+    divisions at the full width.  The cost still grows about as digits^2.
     """
     k, value = _identity(which, ctx_new(digits))
     return truncated_digits(k / value, digits)

@@ -16,15 +16,19 @@ z = 1/2 and z = -1, whose Pfaff image is 1/2) exactly, with its
 denominator, so it is never rounded.  The loop sums the derivative series
 (DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), as
 u_k = t_(k+1) / z with U0 = sum u_k and U1 = sum (k+1) u_k: U1 is the
-derivative and 1 + z U0 the value, so one pass gives both, adding its terms
-into per-block sums as narrow as the block's first term.  Terms are
-counted on that derivative series, whose tail dominates: from a K found in
-closed form its term ratio stays below rho = (1+|z|)/2, so the tail after a
-term t is below |t| rho / (1-rho), for every rational (a, b; c), and the
-count comes from K exact ratios and a bisection on lgamma, not a walk over
-all terms.  Guard bits keep the floor roundings of both sums below
-tail_tol / 2, so each is within tail_tol = 10^-(working+5) before its one
-rounding to working precision.  The Pfaff prefactor is an mpf power.
+derivative and 1 + z U0 the value, so one pass gives both.  It goes
+_BLOCK terms at a time: at a Fraction z, whose term ratios are small
+integer quotients, a block's ratios are combined exactly in small integers
+and applied with one big-integer division (_block); at an mpf or mpc z,
+whose ratios carry a full-width reading of z, term by term into per-block
+sums as narrow as the block's first term.  Terms are counted on that
+derivative series, whose tail dominates: from a K found in closed form its
+term ratio stays below rho = (1+|z|)/2, so the tail after a term t is below
+|t| rho / (1-rho), for every rational (a, b; c), and the count comes from K
+exact ratios and a bisection on lgamma, not a walk over all terms.  Guard
+bits keep the floor roundings of both sums below tail_tol / 2, so each is
+within tail_tol = 10^-(working+5) before its one rounding to working
+precision.  The Pfaff prefactor is an mpf power.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .numerics import PrecisionCtx, agm, fixed_point, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
-_BLOCK = 64  # terms per block of narrow accumulators in _series
+_BLOCK = 64  # terms per block of _series: one division at a Fraction z, narrow sums otherwise
 
 
 class _HypFields(NamedTuple):
@@ -93,14 +97,16 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     |t'_N| rho / (1-rho) <= tail_tol / 1000, a bound on the tail after t'_N.
 
     Two floors move each component of u_(k+1) off the exact product of u_k
-    and its ratio by less than 2 units of 2^-bits, and the later ratios
-    carry an error made at u_j on to u_m multiplied by
-    |u_m / u_j| = |t'_m / t'_j| (j+1) / (m+1) <= e^growth, where growth is
-    the largest rise of log|t'_k| (reached by K, as the terms fall after it).
-    So U0 = sum u_k misses by less than 2 n^2 e^growth 2^-bits and
-    U1 = sum (k+1) u_k by less than 4 n^3 e^growth 2^-bits; as |z| < 1, the
-    two floors of 1 + z U0 keep the value within the same bound, which
-    `bits` keeps below tail_tol / 2.
+    and its ratio by less than 2 units of 2^-bits (at a Fraction z, the u
+    ending a block off the one before it times the block's ratios, and each
+    block's sums by as much, in place of the errors of all its terms:
+    _block), and the later ratios carry an error made at u_j on to u_m
+    multiplied by |u_m / u_j| = |t'_m / t'_j| (j+1) / (m+1) <= e^growth,
+    where growth is the largest rise of log|t'_k| (reached by K, as the
+    terms fall after it).  So U0 = sum u_k misses by less than
+    2 n^2 e^growth 2^-bits and U1 = sum (k+1) u_k by less than
+    4 n^3 e^growth 2^-bits; as |z| < 1, the two floors of 1 + z U0 keep the
+    value within the same bound, which `bits` keeps below tail_tol / 2.
     """
     q = p.shifted()
     cap = int(80 * (ctx.working_digits + 10)) + 200  # the most terms before ArithmeticError
@@ -145,21 +151,57 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     return n, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
 
 
+def _block(u: int, k0: int, ratios):
+    """(S, W, u') in fixed point for the terms u_k = u_(k-1) num_k / den_k,
+    k0 <= k < k1, that follow u = u_(k0-1), with ratios[k - k0] =
+    (num_k, den_k) in small integers: S = sum u_k, W = sum (k+1) u_k and
+    u' = u_(k1-1), each less than 2 units off its exact value from u.
+
+    Walked backward, Horner-style, in integers of about len(ratios) small
+    factors, A / E = r_k0 (1 + r_(k0+1) (1 + ... r_(k1-1))) with
+    r_k = num_k / den_k, A1 / E the same with weights k+1 and P / E the
+    product of the r_k, where E is the product of the den_k.  One full-width
+    division v = floor(u 2^g / E) is off u 2^g / E by less than 1, and with
+    2^g above |A|, |A1| and |P| (A exceeds E where the terms grow) that
+    moves each of floor(v A / 2^g), floor(v A1 / 2^g) and floor(v P / 2^g)
+    by less than 1 unit, its own floor by less than 1 more.
+    """
+    a = a1 = 0
+    e = prod = 1
+    for j in range(len(ratios) - 1, -1, -1):
+        num, den = ratios[j]
+        a, a1, e, prod = num * (e + a), num * ((k0 + j + 1) * e + a1), den * e, prod * num
+    g = max(abs(a), abs(a1), abs(prod)).bit_length()
+    v = (u << g) // e
+    return v * a >> g, v * a1 >> g, v * prod >> g
+
+
 def _series(p: HypParams, z, ctx: PrecisionCtx):
     """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z,
     summed in fixed point; both are mpfs for a real z, mpcs for an mpc z.
 
     z is read as (zr + i zi) / (2^s d), so with u_0 = ab/c and
-    u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each term
-    is one integer product, a shift and a division by a small integer, kept
-    to `bits` fractional bits (_plan bounds the error); a real z skips the
-    imaginary products, and a Fraction z the shift, as 2^s joins the divisor:
-    floor(floor(x / 2^s) / e) = floor(x / (2^s e)).  The terms k0 <= k < k1
-    of a block go into S = sum u_k and W = sum of the running S, as narrow as
-    u_k0, and at its end U0 += S and U1 += (k1+1) S - W = sum (k+1) u_k: two
-    narrow additions per term, and U0 and U1 are the integers of per-term
-    sums, so _plan's bound stands.  The value is 2^bits + z U0, formed with
-    that z and floored once per component.  Each is rounded once.
+    u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each
+    ratio is num_k zr / (den_k 2^s d) with num_k and den_k small integers,
+    and the terms are kept to `bits` fractional bits (_plan bounds the
+    error).  They are summed in blocks k0 <= k < k1 of _BLOCK terms into
+    U0 = sum u_k and U1 = sum (k+1) u_k.  The value is 2^bits + z U0, formed
+    with that z and floored once per component.  Each is rounded once.
+
+    A Fraction z has s = 0, as 2^s joins d, and _block sums each block from
+    its first u with one big-integer division: u_(k1-1) and the block's two
+    sums are each less than 2 units off their exact values from u_(k0-1).
+    Term by term, two floors move each component of u_k by as much, and
+    each sum takes the errors of all the block's terms.  An error carried in
+    u moves on through the later (exact) ratios as it does term by term, so
+    _plan's bound holds.
+
+    An mpf or mpc z carries a full-width zr, so each term is one integer
+    product, a shift and a division by a small integer, and a real z skips
+    the imaginary products.  The terms of a block go into S = sum u_k and
+    W = sum of the running S, as narrow as u_k0, and at its end U0 += S and
+    U1 += (k1+1) S - W = sum (k+1) u_k: two narrow additions per term, and
+    U0 and U1 are the integers of per-term sums.
 
     An mpf or mpc z is read to 2^-2bits (numerics.fixed_point), so no
     integer grows with the gap between its parts.  Each part moves toward 0
@@ -185,6 +227,11 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     ui = sum_i = deriv_i = 0
     for k0 in range(1, n, _BLOCK):
         k1 = min(k0 + _BLOCK, n)
+        if isinstance(z, Fraction):
+            sr, wr, ur = _block(ur, k0, [((an + k * ad) * (bn + k * bd) * cd * zr, (cn + k * cd) * (k + 1) * dd)
+                                         for k in range(k0, k1)])
+            sum_r, deriv_r = sum_r + sr, deriv_r + wr
+            continue
         sr = wr = si = wi = 0  # the block's sum of u_k and sum of its running sums
         for k in range(k0, k1):
             num = (an + k * ad) * (bn + k * bd) * cd
@@ -194,10 +241,8 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
                 ur, ui = (ur * nr - ui * ni >> s) // den, (ur * ni + ui * nr >> s) // den
                 si += ui
                 wi += si
-            elif s:
-                ur = (ur * (num * zr) >> s) // den
             else:
-                ur = ur * (num * zr) // den
+                ur = (ur * (num * zr) >> s) // den
             sr += ur
             wr += sr
         sum_r, deriv_r = sum_r + sr, deriv_r + (k1 + 1) * sr - wr

@@ -224,18 +224,19 @@ def homothety_ratios(t: TauPoint, ctx: PrecisionCtx):
 # ---------------------------------------------------------------------------
 
 def _eta_roots(t: TauPoint, ctx: PrecisionCtx):
-    """(disc^(1/12), (l(1-l))^(1/6), sqrt(1-l)) at l = lambda(tau), as eta
-    products with no branch to choose (Borwein & Borwein 1987, ch. 3-4):
-    l(1-l) = 16 eta(tau/2)^24 eta(2 tau)^24 / eta(tau)^48 and
+    """(disc^(1/12), (l(1-l))^(1/6), sqrt(1-l), eta(tau)) at l = lambda(tau):
+    the roots as eta products with no branch to choose (Borwein & Borwein
+    1987, ch. 3-4), l(1-l) = 16 eta(tau/2)^24 eta(2 tau)^24 / eta(tau)^48 and
     1-l = eta(tau/2)^16 eta(2 tau)^8 / eta(tau)^24.  With
     R = eta(tau/2)^4 eta(2 tau)^4 / eta(tau)^8 they are 2 R, 2^(2/3) R and
-    eta(tau/2)^8 eta(2 tau)^4 / eta(tau)^12."""
+    eta(tau/2)^8 eta(2 tau)^4 / eta(tau)^12; eta(tau) comes along for the
+    eta route of _period_report."""
     from .modular import eta, tau_point
 
     half, double = (eta(tau_point(z, ctx), ctx) for z in (t.tau / 2, 2 * t.tau))
     one = eta(t, ctx)
     r = (half * double / (one * one)) ** 4
-    return 2 * r, ctx.mp.cbrt(4) * r, half ** 8 * double ** 4 / one ** 12
+    return 2 * r, ctx.mp.cbrt(4) * r, half ** 8 * double ** 4 / one ** 12, one
 
 
 def _period_report(name: str, t: TauPoint, form, ctx: PrecisionCtx) -> FormulaReport:
@@ -248,18 +249,18 @@ def _period_report(name: str, t: TauPoint, form, ctx: PrecisionCtx) -> FormulaRe
     ever taken); rhs is the hypergeometric route.
     """
     from .hypergeometric import legendre_F
-    from .modular import eta, lambda_tau
+    from .modular import lambda_tau
     from .reports import make_report
 
     mp = ctx.mp
     pi = pi_reference(ctx)
-    disc_12, prod_6, sqrt_1ml = _eta_roots(t, ctx)
+    disc_12, prod_6, sqrt_1ml, eta_tau = _eta_roots(t, ctx)
     scale, F_arg = form(lambda_tau(t, ctx), sqrt_1ml)
     prefactor = mp.cbrt(2) * pi
     if scale is not None:
         prefactor = prefactor * mp.mpc(0, 1) / scale
     rhs = prefactor * prod_6 / disc_12 * legendre_F(F_arg, ctx)
-    lhs = 2 * pi * eta(t, ctx) ** 2 / disc_12
+    lhs = 2 * pi * eta_tau ** 2 / disc_12
     return make_report(f"{name} tau={format_value(t.tau, ctx, 6)}", lhs, rhs, ctx)
 
 

@@ -18,7 +18,7 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _plan, _series, legendre_F_F2
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _series, legendre_F_F2
 from hyperpi.numerics import ctx_new, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -461,6 +461,98 @@ class TestBlockSums:
         ctx = ctx_new(digits)
         z = _point(ctx, spec)
         assert _series(F_PARAMS, z, ctx) == _per_term_series(F_PARAMS, z, ctx)
+
+
+def _exact_sums(p, z, n):
+    """(1 + z U0, U1) over k < n, as _partial_sums gives them at a real
+    Fraction z, as integers (value, derivative) over one integer denominator.
+    The products of the ratios r_k = u_k / u_(k-1) are summed by binary
+    splitting, so no gcd is taken and thousands of terms with 80-digit
+    parameters stay cheap."""
+
+    (an, ad), (bn, bd), (cn, cd), (zn, zd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c, z))
+
+    def split(i, j):
+        # (N, D, T, W): N / D = r_i ... r_(j-1), T / D = sum over i <= k < j
+        # of r_i ... r_k, and W / D the same with weights k + 1
+        if j - i == 1:
+            num = (an + i * ad) * (bn + i * bd) * cd * zn
+            return num, (cn + i * cd) * (i + 1) * ad * bd * zd, num, (i + 1) * num
+        n1, d1, t1, w1 = split(i, (i + j) // 2)
+        n2, d2, t2, w2 = split((i + j) // 2, j)
+        return n1 * n2, d1 * d2, t1 * d2 + n1 * t2, w1 * d2 + n1 * w2
+
+    _, d, t, w = split(1, n) if n > 1 else (1, 1, 0, 0)
+    u0 = p.a * p.b / p.c  # U0 = u0 (D + T) / D and U1 = u0 (D + W) / D
+    den = z.denominator * u0.denominator * d
+    return den + z.numerator * u0.numerator * (d + t), z.denominator * u0.numerator * (d + w), den
+
+
+class TestFractionBlocks:
+    """_series at a Fraction z, summed a block at a time with one division per
+    block, against its exact rational partial sums over its own n: as in
+    TestRoundingBound, each of the value and the derivative is within
+    tail_tol / 2 plus half an ulp.  One block from _block is within 2 units
+    of its exact sums."""
+
+    NEAR = TestNearTerminatingParameters.P
+    POINTS = [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 7), Fraction(1, 9)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        u=st.integers(-2**300, 2**300),
+        k0=st.integers(1, 10**4),
+        ratios=st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool)),
+                        min_size=1, max_size=_BLOCK),
+    )
+    def test_one_block_within_two_units(self, u, k0, ratios):
+        # ratios of either size: the sums of growing terms far exceed u
+        term, total, weighted = Fraction(u), 0, 0
+        for k, (num, den) in enumerate(ratios, k0):
+            term = term * num / den
+            total, weighted = total + term, weighted + (k + 1) * term
+        for got, exact in zip(_block(u, k0, ratios), (total, weighted, term)):
+            assert abs(got - exact) < 2
+
+    @staticmethod
+    def _check(p, z, ctx):
+        value, deriv, n = _series(p, z, ctx)
+        *exact, den = _exact_sums(p, z, n)
+        bound = Fraction(1, 2 * 10 ** (ctx.working_digits + 5))  # tail_tol / 2
+        for got, num in zip((value, deriv), exact):
+            half_ulp = Fraction(2) ** (ctx.mp.mag(got) - ctx.mp.prec - 1) if got else 0
+            assert abs(_exact(got) * den - num) <= (bound + half_ulp) * den
+
+    @pytest.mark.parametrize(
+        "p",
+        EXACT_PARAMS + [HypParams(Fraction(-5, 2), Fraction(7, 3), Fraction(11, 4))],
+        ids=EXACT_IDS + ["(-5/2,7/3;11/4)"],
+    )
+    @pytest.mark.parametrize("z", POINTS, ids=str)
+    def test_for_every_block_remainder(self, p, z):
+        # the first digit count at which n meets each residue modulo the block length
+        residues = set()
+        for digits in range(1, 400):
+            ctx = ctx_new(digits)
+            n = _plan(p, math.log(abs(z)), ctx)[0]
+            if n % _BLOCK not in residues:
+                residues.add(n % _BLOCK)
+                self._check(p, z, ctx)
+            if len(residues) == _BLOCK:
+                break
+        assert len(residues) == _BLOCK
+
+    @pytest.mark.parametrize("z", POINTS, ids=str)
+    def test_terminating_series(self, ctx30, z):
+        # 2F1(-2, 1/2; 1; z): one block, and every u_k from k = 2 on is 0
+        self._check(HypParams(-2, Fraction(1, 2), 1), z, ctx30)
+
+    @pytest.mark.parametrize("z", POINTS, ids=str)
+    def test_terms_that_grow_first(self, ctx50, z):
+        # at 1/2, -1/3 and 3/7 the terms grow for hundreds of terms, so a
+        # block's sums exceed the term before it (A > E in _block); 50 digits
+        # is the fewest the series allows
+        self._check(self.NEAR, z, ctx50)
 
 
 class TestLegendreF:

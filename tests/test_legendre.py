@@ -10,6 +10,7 @@ from hyperpi import (
     check_theorem_period,
     check_theorem_transform,
     delta_tau,
+    eta,
     homothety_mu,
     homothety_ratios,
     lambda_tau,
@@ -220,11 +221,12 @@ class TestEtaRoots:
     def test_powers_of_the_roots(self, ctx50, re, im):
         t = tau_point(_mpc(ctx50, re, im), ctx50)
         lam = lambda_tau(t, ctx50)
-        disc_12, prod_6, sqrt_1ml = legendre._eta_roots(t, ctx50)
+        disc_12, prod_6, sqrt_1ml, eta_tau = legendre._eta_roots(t, ctx50)
         tol = ctx50.real("1e-45")
         assert abs(prod_6 ** 6 - lam * (1 - lam)) < tol * abs(lam * (1 - lam))
         assert abs(disc_12 ** 12 - weierstrass_from_lambda(lam).disc) < tol * abs(disc_12 ** 12)
         assert abs(sqrt_1ml ** 2 - (1 - lam)) < tol * abs(1 - lam)
+        assert eta_tau == eta(t, ctx50)
 
     def test_principal_at_2i(self, ctx50):
         # lambda(2i) is in (0, 1), where every principal root is the holomorphic one
