@@ -13,8 +13,12 @@ combines with Bruns' relation into the master formula
 
 whose instances at tau = i (lambda = 1/2) and tau = 1+i (lambda = -1) are
 the identities  8/pi = F(1/2) F2(1/2)  and  1/pi = F(-1)^2 - F(-1) F2(-1).
-Both are written once, in _identity; identity_check(which, ctx) and the
-pi engine pi_from_identity(which, digits) read them from there.
+Both are written once, in _identity, in fixed-point integers from the
+integer F and F' of hypergeometric.hyp2f1_fixed; identity_check(which, ctx)
+rounds that integer once, and the pi engine pi_from_identity(which, digits)
+divides by it and reads the digits of the integer quotient, so neither the
+engine nor pi_reference_digits (the digits of numerics.pi_fixed) loads
+mpmath.
 
 The factor (3g3/2g2) s2(tau) is always evaluated here in the combined form
 
@@ -24,8 +28,8 @@ which is finite even at the zeros of E6 (both identity points are 0/0 for
 the raw E4/E6 form) and equals g2/g3 times s2 elsewhere, as the tests
 cross-check at tau = 2i.
 
-Reference pi in every report comes from pi_reference, never from the
-identities under test.
+Reference pi in every report comes from pi_reference (and the reference
+digits from the same integer), never from the identities under test.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .hypergeometric import legendre_F_F2
-from .numerics import PrecisionCtx, ctx_new, pi_reference, truncated_digits
+from .hypergeometric import F_PARAMS, _rounded, hyp2f1_fixed
+from .numerics import PrecisionCtx, ctx_new, pi_fixed, pi_reference, truncated_digits
 from .reports import FormulaReport, make_report
 
 if TYPE_CHECKING:
@@ -126,31 +130,41 @@ def theorem_general_check(q: CMQuadratic, ctx: PrecisionCtx) -> FormulaReport:
 
 
 def _identity(which: int, ctx: PrecisionCtx):
-    """(k, value) with value = k/pi: identity 1 is 8/pi = F(1/2) F2(1/2),
-    identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1).
+    """(k, value, bits) with value / 2^bits = k/pi: identity 1 is
+    8/pi = F(1/2) F2(1/2), identity 2 is 1/pi = F(-1)^2 - F(-1) F2(-1).
 
-    The points are Fractions, so F and F2 come exactly from one series at
-    z = 1/2: directly, or at z = -1 through its Pfaff image 1/2."""
+    The points are Fractions, so F and F' = F2/4 come as integers over 2^bits
+    from one series at z = 1/2: directly, or at z = -1 through its Pfaff
+    image 1/2 (hypergeometric.hyp2f1_fixed).  Each is within
+    e = tail_tol / 2 + tail_tol / 1000 plus a few units of 2^-bits, which lie
+    far below tail_tol (through Pfaff the prefactor 2^(-1/2) and its floors
+    carry the series' errors times at most 0.71).  With |F| < 1.2 and |F2| < 2.2 at
+    both points, F F2 is within (4|F| + |F2|) e and F (F - F2) within
+    (5|F| + |F - F2|) e, so with the product's one floor value / 2^bits is
+    within 4 tail_tol of k/pi."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    F, dF, bits = hyp2f1_fixed(F_PARAMS, Fraction(1, 2) if which == 1 else Fraction(-1), ctx)
     if which == 1:
-        F, F2 = legendre_F_F2(Fraction(1, 2), ctx)
-        return 8, F * F2
-    if which == 2:
-        F, F2 = legendre_F_F2(Fraction(-1), ctx)
-        return 1, F * F - F * F2
-    raise ValueError("which must be 1 or 2")
+        return 8, F * 4 * dF >> bits, bits
+    return 1, F * (F - 4 * dF) >> bits, bits
 
 
 def identity_check(which: int, ctx: PrecisionCtx) -> FormulaReport:
-    """k/pi (reference pi) against the hypergeometric side of identity `which`."""
-    k, value = _identity(which, ctx)
-    return make_report(f"identity{which}", k / pi_reference(ctx), value, ctx)
+    """k/pi (reference pi) against the hypergeometric side of identity
+    `which`, rounded once from its integer."""
+    k, value, bits = _identity(which, ctx)
+    return make_report(f"identity{which}", k / pi_reference(ctx), _rounded(value, bits, ctx), ctx)
 
 
 def pi_from_identity(which: int, digits: int) -> str:
     """pi digits from identity 1 (8/(F F2) at 1/2) or 2 (1/(F^2 - F F2) at -1).
 
     Returns the first `digits` significant digits, truncated, e.g.
-    pi_from_identity(1, 10) == "3.141592653".  The z = 1/2 series gains
+    pi_from_identity(1, 10) == "3.141592653": the integer
+    floor(k 2^(2 bits) / value) = pi 2^bits, within about pi^2/k times the
+    value's error (_identity), split into decimal digits by powers of ten
+    (numerics.truncated_digits), all in integers.  The z = 1/2 series gains
     about 0.30 decimal digits per term, so it needs about 3.3 terms per
     digit, summed 64 at a time (hypergeometric._block): per block one
     division of a fixed-point term of at most 3.3 bits per digit by the
@@ -158,10 +172,11 @@ def pi_from_identity(which: int, digits: int) -> str:
     integers of that size, where a per-term loop makes 64 products and 64
     divisions at the full width.  The cost still grows about as digits^2.
     """
-    k, value = _identity(which, ctx_new(digits))
-    return truncated_digits(k / value, digits)
+    k, value, bits = _identity(which, ctx_new(digits))
+    return truncated_digits((k << 2 * bits) // value, bits, digits)
 
 
 def pi_reference_digits(digits: int) -> str:
-    """Truncated digit string of pi_reference, for digit-for-digit comparison."""
-    return truncated_digits(pi_reference(ctx_new(digits)), digits)
+    """Truncated digit string of the reference pi (numerics.pi_fixed) at the
+    working digits of ctx_new(digits), for digit-for-digit comparison."""
+    return truncated_digits(*pi_fixed(ctx_new(digits).working_digits), digits)

@@ -28,7 +28,14 @@ term ratio stays below rho = (1+|z|)/2, so the tail after a term t is below
 exact ratios and a bisection on lgamma, not a walk over all terms.  Guard
 bits keep the floor roundings of both sums below tail_tol / 2, so each is
 within tail_tol = 10^-(working+5) before its one rounding to working
-precision.  The Pfaff prefactor is an mpf power.
+precision.
+
+At a Fraction z the value and the derivative stay integers over 2^bits
+through Pfaff too (hyp2f1_fixed), whose prefactor (1-z)^(-a) is then an
+integer square root for a whole or half-integer a; the public wrappers
+round each once, and the 1/pi identities (cm) multiply the integers before
+their one rounding.  At an mpf or mpc z the Pfaff prefactor is an mpf
+power.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, agm, fixed_point, log_abs
+from .numerics import PrecisionCtx, _mp_context, agm, fixed_point, isqrt, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
@@ -177,8 +184,24 @@ def _block(u: int, k0: int, ratios):
 
 
 def _series(p: HypParams, z, ctx: PrecisionCtx):
-    """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z,
-    summed in fixed point; both are mpfs for a real z, mpcs for an mpc z.
+    """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z:
+    _sums rounded once each to mpfs for a real z, to mpcs for an mpc z."""
+    value_r, value_i, deriv_r, deriv_i, bits, n = _sums(p, z, ctx)
+    vr, vi, dr, di = (_rounded(x, bits, ctx) for x in (value_r, value_i, deriv_r, deriv_i))
+    if hasattr(z, "_mpc_"):
+        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
+    return vr, dr, n
+
+
+def _rounded(x: int, bits: int, ctx: PrecisionCtx):
+    """x / 2^bits rounded once to ctx's precision."""
+    return ctx.mp.ldexp(ctx.mp.mpf(x), -bits)
+
+
+def _sums(p: HypParams, z, ctx: PrecisionCtx):
+    """(value_r, value_i, deriv_r, deriv_i, bits, n): the parts of the value
+    and the derivative of the 2F1 series at a Fraction, mpf or mpc z as
+    integers over 2^bits, summed in fixed point over n terms.
 
     z is read as (zr + i zi) / (2^s d), so with u_0 = ab/c and
     u_k = u_(k-1) z (a+k)(b+k)/((c+k)(k+1)) cleared of denominators each
@@ -186,7 +209,7 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
     and the terms are kept to `bits` fractional bits (_plan bounds the
     error).  They are summed in blocks k0 <= k < k1 of _BLOCK terms into
     U0 = sum u_k and U1 = sum (k+1) u_k.  The value is 2^bits + z U0, formed
-    with that z and floored once per component.  Each is rounded once.
+    with that z and floored once per component.
 
     A Fraction z has s = 0, as 2^s joins d, and _block sums each block from
     its first u with one big-integer division: u_(k1-1) and the block's two
@@ -249,38 +272,84 @@ def _series(p: HypParams, z, ctx: PrecisionCtx):
         sum_i, deriv_i = sum_i + si, deriv_i + (k1 + 1) * si - wi
     value_r = (1 << bits) + (sum_r * zr - sum_i * zi >> s) // d
     value_i = (sum_r * zi + sum_i * zr >> s) // d
-    vr, vi, dr, di = (ctx.mp.ldexp(ctx.mp.mpf(x), -bits) for x in (value_r, value_i, deriv_r, deriv_i))
-    if hasattr(z, "_mpc_"):
-        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
-    return vr, dr, n
+    return value_r, value_i, deriv_r, deriv_i, bits, n
+
+
+def _region_error(z) -> RegionError:
+    return RegionError(
+        f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
+        "(Re z < 0, |z/(z-1)| <= 1/2) regions"
+    )
 
 
 def _hyp2f1_pair(p: HypParams, z, ctx: PrecisionCtx):
     """(2F1(a, b; c; z), its z-derivative) from one series, by the direct
     series or the Pfaff transformation; RegionError outside both regions.
+    At a Fraction z, hyp2f1_fixed's integers rounded once each.
 
     Through Pfaff, F = (1-z)^(-a) G(w) with w = z/(z-1), so
     F' = (1-z)^(-a-1) (a G(w) - G'(w) / (1-z)).
     """
-    zs = _as_scalar(z, ctx)
-    if not isinstance(z, Fraction):
-        z = zs
+    if isinstance(z, Fraction):
+        value, deriv, bits = hyp2f1_fixed(p, z, ctx)
+        return _rounded(value, bits, ctx), _rounded(deriv, bits, ctx)
+    z = _as_scalar(z, ctx)
     # slack so boundary points computed with working-precision noise
     # (e.g. lambda(i) = 1/2 + O(eps)) still land in their region
     half = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol)
-    if abs(zs) > half and zs.real < 0:
+    if abs(z) > half and z.real < 0:
         w = z / (z - 1)
-        if abs(_as_scalar(w, ctx)) <= half:
+        if abs(w) <= half:
             g, dg, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
-            one_minus_z = _as_scalar(1 - z, ctx)
+            one_minus_z = 1 - z
             prefactor = one_minus_z ** ctx.real(-p.a)
             return prefactor * g, prefactor / one_minus_z * (ctx.real(p.a) * g - dg / one_minus_z)
-    if abs(zs) <= ctx.real(DIRECT_RADIUS):
+    if abs(z) <= ctx.real(DIRECT_RADIUS):
         return _series(p, z, ctx)[:2]
-    raise RegionError(
-        f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
-        "(Re z < 0, |z/(z-1)| <= 1/2) regions"
-    )
+    raise _region_error(z)
+
+
+def hyp2f1_fixed(p: HypParams, z: Fraction, ctx: PrecisionCtx):
+    """(value, derivative, bits): 2F1(a, b; c; z) and its z-derivative at a
+    Fraction z as integers over 2^bits, by the direct series or, for
+    -1 <= z < -1/2, by Pfaff; RegionError outside both regions.
+
+    Direct, each is _sums' integer, within tail_tol / 2 plus the series tail
+    (below tail_tol / 1000).  Through Pfaff, with 1 - z = m/n and
+    P = (1-z)^(-a) within one unit (_power), the value is floor(P G / 2^bits)
+    and the derivative floor(floor(P n/m) (floor(a G) - floor(G' n/m)) / 2^bits):
+    each floor adds less than one unit, and G's and G''s errors arrive
+    multiplied by |P| and by |P| (|a| + n/m) n/m; n/m < 2/3 here.
+
+    Public, as the pi engines call it directly: perfbench's tracer, which
+    wraps the public functions of each module, then times their series in
+    this module.
+    """
+    if -1 <= z < -PFAFF_RADIUS:  # Re z < 0, |z| > 1/2 and |z/(z-1)| <= 1/2
+        g, _, dg, _, bits, _ = _sums(HypParams(p.a, p.c - p.b, p.c), z / (z - 1), ctx)
+        m, n = (1 - z).as_integer_ratio()
+        prefactor = _power(Fraction(n, m), p.a, bits)
+        inner = p.a.numerator * g // p.a.denominator - dg * n // m
+        return prefactor * g >> bits, prefactor * n // m * inner >> bits, bits
+    if abs(z) <= DIRECT_RADIUS:
+        value, _, deriv, _, bits, _ = _sums(p, z, ctx)
+        return value, deriv, bits
+    raise _region_error(z)
+
+
+def _power(x: Fraction, e: Fraction, bits: int) -> int:
+    """x^e 2^bits within one unit, for a Fraction x in [1/2, 1) and a
+    rational e: the exact floor from an integer square root where e is a
+    whole or half integer, else an mpf power with bits + 2|e| + 20 bits,
+    which cover |x^e| <= 2^|e| and the rounding of e."""
+    if e.denominator <= 2:
+        num, den = (x**e.numerator).as_integer_ratio()
+        if e.denominator == 1:
+            return (num << bits) // den
+        return isqrt((num << 2 * bits) // den)  # floor(sqrt(floor(y))) = floor(sqrt(y))
+    mp = _mp_context(math.ceil((bits + 2 * abs(e) + 20) * math.log10(2)))
+    power = mp.power(mp.mpf(x.numerator) / x.denominator, mp.mpf(e.numerator) / e.denominator)
+    return int(mp.ldexp(power, bits))
 
 
 def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):

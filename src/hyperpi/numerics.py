@@ -3,14 +3,19 @@ and the AGM / reference-pi oracles.
 
 Every public operation in this package takes a :class:`PrecisionCtx` and
 rounds at its working precision (target digits + guard digits).  The
-underlying big-float arithmetic is mpmath.  Contexts with the same working
-digits share one ``MPContext`` and one pi, so a call rebuilds neither;
-nothing in the package changes its precision after construction, so two
-contexts never see each other's precision.
+underlying big-float arithmetic is mpmath, imported only when a context
+first uses ``.mp`` (or an mpf helper here runs), so the pi engines, which
+work in exact integers from series to digits, never load it.  Contexts
+with the same working digits share one ``MPContext`` and one pi, so a call
+rebuilds neither; nothing in the package changes its precision after
+construction, so two contexts never see each other's precision.
 
-``pi_reference`` (Gauss-Legendre AGM iteration) is the only source of a
-"known pi" in this package: internal formulas and verification reports all
-take pi from it, never from the identities under test.
+The reference pi is one integer Gauss-Legendre iteration for pi 2^bits
+(pi_fixed), cached per width: ``pi_reference`` rounds it once to an mpf
+and ``cm.pi_reference_digits`` reads its digits (truncated_digits).  It is
+the only source of a "known pi" in this package: internal formulas and
+verification reports all take pi from it, never from the identities under
+test.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import numeral
+if TYPE_CHECKING:
+    from mpmath.ctx_mp import MPContext
 
 
 class PrecisionCtx:
@@ -30,7 +36,8 @@ class PrecisionCtx:
 
     guard_digits is max(10, ceil(log10(target_digits)) + 10), the minimum
     the truncation policy needs so that series tails and rounding stay
-    below the certified target.
+    below the certified target.  The mpmath context is made on first use
+    of .mp: the integer kernels read only the digit counts.
     """
 
     def __init__(self, target_digits: int):
@@ -39,7 +46,10 @@ class PrecisionCtx:
             raise ValueError("target_digits must be a positive integer")
         self.target_digits = target_digits
         self.guard_digits = max(10, math.ceil(math.log10(target_digits)) + 10)
-        self.mp = _mp_context(self.working_digits)
+
+    @cached_property
+    def mp(self) -> MPContext:
+        return _mp_context(self.working_digits)
 
     @property
     def working_digits(self) -> int:
@@ -79,6 +89,8 @@ class PrecisionCtx:
 @lru_cache(maxsize=16)
 def _mp_context(working_digits: int) -> MPContext:
     """The mpmath context every PrecisionCtx with these working digits uses."""
+    from mpmath.ctx_mp import MPContext
+
     mp = MPContext()
     mp.dps = working_digits
     return mp
@@ -160,19 +172,34 @@ def parse_complex(s: str, ctx: PrecisionCtx):
     raise ValueError(f"not a decimal real or complex: {s!r}")
 
 
-def truncated_digits(x, n: int) -> str:
-    """First n significant digits of x in [1, 10), truncated, as 'd.ddd...'.
+def truncated_digits(x: int, bits: int, n: int) -> str:
+    """First n significant digits of x / 2^bits in [1, 10), truncated, as
+    'd.ddd...'.
 
-    Used by the pi engine, which reports digits rather than a rounded value.
-    mpmath's numeral converts in pieces below 250 digits, so Python's
-    4300-digit limit on str(int) never applies.
+    Used by the pi engines and the reference pi, which report digits rather
+    than a rounded value.  The integer is split by powers of ten down to
+    pieces of at most 1000 digits (_decimal), so Python's 4300-digit limit
+    on str(int) never applies.
     """
-    if not (1 <= x < 10):
+    m = (x * _pow10(n - 1)) >> bits
+    if not _pow10(n - 1) <= m < 10 * _pow10(n - 1):
         raise ValueError("truncated_digits expects a value in [1, 10)")
-    s = numeral(int(x * 10 ** (n - 1)), 10, n)
-    if len(s) != n:
-        raise ValueError(f"needs {n} significant digits, got {len(s)}")
+    s = _decimal(m, n)
     return s if n == 1 else s[0] + "." + s[1:]
+
+
+def _decimal(m: int, width: int) -> str:
+    """0 <= m < 10^width as exactly `width` decimal digits: divmod by
+    10^(width // 2) and each half converted the same way."""
+    if width <= 1000:
+        return str(m).zfill(width)
+    high, low = divmod(m, _pow10(width // 2))
+    return _decimal(high, width - width // 2) + _decimal(low, width // 2)
+
+
+@lru_cache(maxsize=64)
+def _pow10(n: int) -> int:
+    return 10**n
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +300,88 @@ def agm_converged(a, b, t, mp: MPContext):
 
 
 def pi_reference(ctx: PrecisionCtx):
-    """pi via the Gauss-Legendre AGM iteration, computed once per working
-    precision: the package's only source of known pi, independent of the
-    hypergeometric identities whose checks compare against it."""
+    """pi as an mpf of ctx, rounded once from pi_fixed: the package's only
+    source of known pi, independent of the hypergeometric identities whose
+    checks compare against it."""
     return _pi(ctx.working_digits)
 
 
 @lru_cache(maxsize=16)
 def _pi(working_digits: int):
-    """pi = (a+b)^2 / (4t) from the AGM of 1 and 1/sqrt(2) with t_0 = 1/4, in
-    the mpmath context of these working digits (same key and cache rule as
-    _mp_context)."""
+    """pi rounded to the precision of these working digits (same key and
+    cache rule as _mp_context).  pi_fixed keeps at least 63 bits past that
+    precision and is less than 2^10 of its units off pi, so the one
+    rounding is the correct one unless pi lies within 2^-53 units in the
+    last place of a rounding boundary."""
     mp = _mp_context(working_digits)
-    a, b, t = agm_converged(mp.mpf(1), 1 / mp.sqrt(mp.mpf(2)), mp.mpf(1) / 4, mp)
-    return (a + b) ** 2 / (4 * t)
+    value, bits = pi_fixed(working_digits)
+    return mp.ldexp(mp.mpf(value), -bits)
+
+
+@lru_cache(maxsize=16)
+def pi_fixed(working_digits: int) -> tuple[int, int]:
+    """(P, bits) with |P - pi 2^bits| < 24 (n + 2), from the Gauss-Legendre
+    iteration (Salamin 1976; Brent 1976) in n steps on integers of `bits`
+    fractional bits: 64 guard bits past ceil((working_digits + 1) log2 10),
+    which is at least mpmath's precision of these digits,
+    round((working_digits + 1) log2 10).
+
+    a_0 = 1, b_0 = 1/sqrt(2), t_0 = 1/4, and step k sets a' = (a + b)/2,
+    b' = sqrt(ab), t' = t - 2^k (a - a')^2; pi = (a + b)^2 / (4t) once
+    2^k (a - b)^2 < 2^-bits, which leaves the remainders of t's sum and of
+    the limit of a + b each below 1/4 unit.  n is about log2(bits) (16 at
+    10^5 digits), so the bound is below 2^10 for any width below 2^35 bits.
+
+    Every floor (the halving, isqrt and the t update) is off by less than
+    one unit.  sqrt(ab) moves an error in a or b by at most
+    cosh(log(a/b)/2) <= 1.0151, its worst at the first step, so a and b
+    stay within k + 2 units after k steps; t is within n + 2, as the
+    2^k (a - a')^2 terms carry those errors with weights 2^(k+1) (a - a')
+    that sum below 1.02.  The final quotient moves by (a+b)/(2t) < 3.8 per
+    unit of a + b and by pi/t < 13.8 per unit of t, and floors once.
+    """
+    bits = math.ceil((working_digits + 1) * math.log2(10)) + 64
+    a, b, t = 1 << bits, isqrt(1 << (2 * bits - 1)), 1 << (bits - 2)
+    k = 0
+    while True:
+        mean = (a + b) >> 1
+        t -= ((a - mean) ** 2 << k) >> bits
+        a, b = mean, isqrt(a * b)
+        k += 1
+        if ((a - b) ** 2 << k) >> bits == 0:
+            return (a + b) ** 2 // (t << 2), bits
+
+
+def isqrt(n: int) -> int:
+    """floor(sqrt(n)), as math.isqrt gives it, by Newton's iteration on
+    1/sqrt(x) with multiplications only (each step doubles the bits, and
+    the last gives sqrt(x) = x / sqrt(x) with its correction, Karp and
+    Markstein 1997), then corrected to the exact floor by one square.
+    math.isqrt divides at each step, and CPython's division takes time
+    quadratic in the width where its multiplication is Karatsuba's."""
+    if n < 1 << 256:
+        return math.isqrt(n)
+    h = (n.bit_length() + 1) // 2  # x = n / 2^(2h) lies in [1/4, 1)
+    widths = [h + 2]
+    while widths[-1] > 48:
+        widths.append(widths[-1] // 2 + 2)
+    p = widths.pop()
+    r = int(math.ldexp(1 / math.sqrt(math.ldexp(n >> (2 * h - 53), -53)), p))  # 2^p / sqrt(x)
+    while True:
+        q = widths.pop()
+        r <<= q - p
+        s = (n >> (2 * h - q)) * r >> q  # sqrt(x) 2^q, as accurate as r
+        e = (1 << q) - (s * r >> q)  # (1 - x r^2) 2^q
+        if not widths:
+            y = (s + (s * e >> (q + 1))) >> (q - h)
+            break
+        r += r * e >> (q + 1)
+        p = q
+    rem = n - y * y
+    while rem < 0:
+        y -= 1
+        rem += 2 * y + 1
+    while rem > 2 * y:
+        y += 1
+        rem -= 2 * y - 1
+    return y

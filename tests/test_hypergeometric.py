@@ -18,7 +18,7 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _series, legendre_F_F2
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _series, _sums, legendre_F_F2
 from hyperpi.numerics import ctx_new, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -169,6 +169,19 @@ class TestExactRoute:
         ctx = request.getfixturevalue(f"ctx{digits}")
         for p in EXACT_PARAMS:
             assert _series(p, z, ctx)[-1] >= _series(p, ctx.real(z), ctx)[-1]
+
+    @pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(5, 2), Fraction(1, 3), Fraction(-7, 4)],
+                             ids=str)
+    @pytest.mark.parametrize("z", [Fraction(-1), Fraction(-3, 4)], ids=str)
+    def test_pfaff_prefactor_for_any_rational_a(self, ctx50, a, z):
+        # (1-z)^(-a) in integers: a whole or half-integer a by an integer
+        # square root, any other by an mpf power read to the same bits
+        p = HypParams(a, Fraction(1, 2), Fraction(3, 2))
+        r = ctx50.real
+        oracle = ctx50.mp.hyp2f1(r(p.a), r(p.b), r(p.c), r(z))
+        slope = r(p.a * p.b / p.c) * ctx50.mp.hyp2f1(r(p.a + 1), r(p.b + 1), r(p.c + 1), r(z))
+        assert abs(hyp2f1(p, z, ctx50) - oracle) <= ctx50.eps * max(1, abs(oracle))
+        assert abs(hyp_derivative(p, z, ctx50) - slope) <= ctx50.eps * max(1, abs(slope))
 
     def test_terminating_series(self, ctx50):
         # 2F1(-2, 1/2; 1; z) = 1 - z + (3/8) z^2, which is 17/24 at z = 1/3
@@ -416,9 +429,9 @@ class TestDerivative:
 
 
 def _per_term_series(p, z, ctx):
-    """(value, derivative, n) as _series gives them, from a per-term loop:
-    each term shifted by s, divided, and added to both full-width sums, the
-    derivative's with its weight k+1."""
+    """(value_r, value_i, deriv_r, deriv_i, bits, n) as _sums gives them,
+    from a per-term loop: each term shifted by s, divided, and added to
+    both full-width sums, the derivative's with its weight k+1."""
     n, bits = _plan(p, log_abs(z), ctx)
     zr, zi, s, d = fixed_point(z, 2 * bits)
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
@@ -432,25 +445,46 @@ def _per_term_series(p, z, ctx):
         deriv_r, deriv_i = deriv_r + (k + 1) * ur, deriv_i + (k + 1) * ui
     value_r = (1 << bits) + (sum_r * zr - sum_i * zi >> s) // d
     value_i = (sum_r * zi + sum_i * zr >> s) // d
-    vr, vi, dr, di = (ctx.mp.ldexp(ctx.mp.mpf(x), -bits) for x in (value_r, value_i, deriv_r, deriv_i))
-    if hasattr(z, "_mpc_"):
-        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
-    return vr, dr, n
+    return value_r, value_i, deriv_r, deriv_i, bits, n
+
+
+def _floor_bound(p, z, n):
+    """4 n^3 e^growth, _plan's bound in units of 2^-bits on how far each of
+    the value and the derivative lies from its exact sum over the n terms,
+    with growth the largest rise of log|t'_k| of the derivative series."""
+    q, log_az = p.shifted(), log_abs(z)
+    log_term = low = growth = 0.0
+    for k in range(n):
+        log_term += math.log(abs((q.a + k) * (q.b + k) / ((q.c + k) * (k + 1)))) + log_az
+        low = min(low, log_term)
+        growth = max(growth, log_term - low)
+    return 4 * n**3 * math.exp(growth)
 
 
 class TestBlockSums:
-    """_series sums its terms in blocks and, for a Fraction z, divides by
-    2^s d in one step; its results equal those of the per-term loop."""
+    """_sums sums its terms in blocks.  At an mpf or mpc z its integers equal
+    those of the per-term loop, which makes the same floors.  At a Fraction z
+    a block's terms come from one division (_block), so the two kernels make
+    different floors: each is within _plan's bound of the exact sums, so
+    they differ by less than twice that bound."""
+
+    @staticmethod
+    def _assert_agree(p, z, ctx):
+        got, per_term = _sums(p, z, ctx), _per_term_series(p, z, ctx)
+        assert got[4:] == per_term[4:]  # bits, n
+        if isinstance(z, Fraction):
+            bound = 2 * _floor_bound(p, z, got[5])
+            assert all(abs(a - b) < bound for a, b in zip(got[:4], per_term[:4]))
+        else:
+            assert got == per_term
+        return got
 
     @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
     def test_at_one_half_for_every_block_remainder(self, p):
         # 1 to 200 digits make n cover every residue modulo the block length
         counts = set()
         for digits in range(1, 201):
-            ctx = ctx_new(digits)
-            got = _series(p, Fraction(1, 2), ctx)
-            assert got == _per_term_series(p, Fraction(1, 2), ctx)
-            counts.add(got[2] % _BLOCK)
+            counts.add(self._assert_agree(p, Fraction(1, 2), ctx_new(digits))[5] % _BLOCK)
         assert counts == set(range(_BLOCK))
 
     @pytest.mark.parametrize("digits", [30, 100, 300, 2000])
@@ -459,8 +493,7 @@ class TestBlockSums:
                  ("0.3", "0.4"), ("-0.2", "0.1"), ("0.1", "1e-60")], ids=_point_id)
     def test_at_fractions_mpfs_and_mpcs(self, digits, spec):
         ctx = ctx_new(digits)
-        z = _point(ctx, spec)
-        assert _series(F_PARAMS, z, ctx) == _per_term_series(F_PARAMS, z, ctx)
+        self._assert_agree(F_PARAMS, _point(ctx, spec), ctx)
 
 
 def _exact_sums(p, z, n):

@@ -15,22 +15,26 @@ import hyperpi
 SRC = str(Path(hyperpi.__file__).resolve().parent.parent)
 
 # A fresh interpreter runs one subcommand and prints the hyperpi modules it
-# loaded and whether the standard library's dataclasses was loaded.
+# loaded and whether the standard library's dataclasses and mpmath were loaded.
 CHILD = """
 import contextlib, io, json, sys
 from hyperpi.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "hyperpi"),
-                  "dataclasses" in sys.modules]))
+                  "dataclasses" in sys.modules, "mpmath" in sys.modules]))
 """
 
 CORE = {"hyperpi", "hyperpi.cli", "hyperpi.errors", "hyperpi.numerics"}
 PI_ENGINE = {"hyperpi.cm", "hyperpi.hypergeometric", "hyperpi.reports"}
 EVERY_MODULE = CORE | PI_ENGINE | {"hyperpi.modular", "hyperpi.legendre", "hyperpi.suite"}
 
+# the pi engines and the reference pi run in integers, from series to digits
 LOADED = [
     (["pi", "--digits", "50"], CORE | PI_ENGINE),
+    (["pi", "--method", "identity2", "--digits", "50"], CORE | PI_ENGINE),
+    (["pi", "--method", "identity1", "--digits", "5000"], CORE | PI_ENGINE),
+    (["pi", "--method", "identity2", "--digits", "5000"], CORE | PI_ENGINE),
     (["verify", "--digits", "20"], CORE | PI_ENGINE),
     (["eval", "--fn", "e4", "--tau", "0.1+1i", "--digits", "20"], CORE | {"hyperpi.modular"}),
     (["eval", "--fn", "F", "--lambda", "0.5", "--digits", "20"], CORE | {"hyperpi.hypergeometric"}),
@@ -48,12 +52,22 @@ def _fresh(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv,modules", LOADED, ids=[" ".join(argv[:3]) for argv, _ in LOADED])
+def _id(argv):
+    return " ".join(argv[:3]) if argv[0] != "pi" or len(argv) < 5 else f"pi {argv[2]} {argv[4]}"
+
+
+@pytest.mark.parametrize("argv,modules", LOADED, ids=[_id(argv) for argv, _ in LOADED])
 def test_subcommand_loads_only_what_it_runs(argv, modules):
-    code, loaded, dataclasses = json.loads(_fresh(CHILD, *argv))
+    code, loaded, dataclasses, mpmath = json.loads(_fresh(CHILD, *argv))
     assert code == 0
     assert set(loaded) == modules
     assert not dataclasses
+    assert mpmath == (argv[0] != "pi")
+
+
+def test_a_context_alone_loads_no_mpmath():
+    loaded = _fresh("import sys; from hyperpi import ctx_new; ctx = ctx_new(50); print('mpmath' in sys.modules)")
+    assert loaded.strip() == "False"
 
 
 def test_importing_the_package_loads_no_module():

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +13,9 @@ from hyperpi.numerics import (
     exact_mpf,
     fixed_point,
     fixed_point_bits,
+    isqrt,
     log_abs,
+    pi_fixed,
     truncated_digits,
 )
 
@@ -38,6 +41,14 @@ class TestPrecisionCtx:
         a, b = ctx_new(10), ctx_new(200)
         assert a.mp.dps != b.mp.dps
         assert a.mp.dps == a.working_digits
+
+    def test_mpmath_context_made_on_first_use(self):
+        # the integer kernels read only the digit counts; perfbench's tracer
+        # holds contexts in a WeakSet
+        ctx = PrecisionCtx(123)
+        assert "mp" not in vars(ctx)
+        assert ctx.mp.dps == ctx.working_digits and ctx.mp is ctx.mp
+        assert weakref.ref(ctx)() is ctx
 
     def test_same_working_digits_share_mpmath_context(self):
         # 100 target digits get 12 guard digits: 112 working digits
@@ -88,9 +99,42 @@ class TestPiReference:
         assert pi_reference(ctx_new(75)) is pi_reference(ctx_new(75))
 
     def test_precision_monotonicity(self, ctx50, ctx100):
-        a = truncated_digits(pi_reference(ctx50), 50)
-        b = truncated_digits(pi_reference(ctx100), 50)
+        a = truncated_digits(*pi_fixed(ctx50.working_digits), 50)
+        b = truncated_digits(*pi_fixed(ctx100.working_digits), 50)
         assert a == b
+
+    @pytest.mark.parametrize("targets", [range(1, 401), range(4290, 4311), [10**4]],
+                             ids=["1..400", "4290..4310", "10^4"])
+    def test_rounded_as_mpmath_pi(self, targets):
+        # mpmath's pi at a context's precision is correctly rounded; an mpf
+        # Gauss-Legendre iteration misses it by up to 5 ulps at most targets
+        for target in targets:
+            ctx = ctx_new(target)
+            assert pi_reference(ctx) == +ctx.mp.pi, target
+
+    def test_fixed_point_within_its_bound(self):
+        # |P - pi 2^bits| < 24 (n + 2) < 2^10 units, against mpmath's pi at 40 more bits
+        for working_digits in (11, 100, 1000, 4321):
+            value, bits = pi_fixed(working_digits)
+            with mpmath.workprec(bits + 40):
+                assert abs(value - mpmath.ldexp(mpmath.pi, bits)) < 2**10
+
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 10**4])  # 5000: test_digits_beyond_int_str_limit
+    def test_digits_against_mpmath(self, digits):
+        with mpmath.workdps(digits + 20):
+            expected = mpmath.nstr(+mpmath.pi, digits + 10)[: digits + 1]
+        assert pi_reference_digits(digits) == expected
+
+
+class TestIsqrt:
+    def test_equals_math_isqrt(self):
+        rng = random.Random(17)
+        widths = [rng.randrange(1, 3000) for _ in range(300)] + [10**4, 10**5]
+        for bits in widths:
+            n = rng.getrandbits(bits)
+            root = 1 << (bits // 2)
+            for m in (n, root * root, root * root - 1, (root + 1) ** 2 - 1, (1 << bits) - 1):
+                assert isqrt(m) == math.isqrt(m), bits
 
 
 class TestDecimalIO:
@@ -135,10 +179,21 @@ class TestDecimalIO:
 
     def test_truncated_digits_truncates(self, ctx50):
         # pi digit 10 is 3, but digit 11 rounds it up; truncation must not
-        assert truncated_digits(pi_reference(ctx50), 10) == "3.141592653"
-        assert truncated_digits(ctx50.real("1.999999"), 3) == "1.99"
+        assert truncated_digits(*pi_fixed(ctx50.working_digits), 10) == "3.141592653"
+        assert truncated_digits(int(Fraction("1.999999") * 2**40), 40, 3) == "1.99"
+        assert truncated_digits(9, 0, 1) == "9"
         with pytest.raises(ValueError):
-            truncated_digits(ctx50.real("0.5"), 3)
+            truncated_digits(1, 1, 3)
+        with pytest.raises(ValueError):
+            truncated_digits(10, 0, 3)
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 4300, 4301, 12345])
+    def test_truncated_digits_split_keeps_every_digit(self, n):
+        # pieces of at most 1000 digits, each zero-padded to its width
+        bits = 4 * n
+        assert truncated_digits((10 << bits) // 3, bits, n) == "3." + "3" * (n - 1)
+        x = ((10 ** (n - 1) + 7) << bits) // 10 ** (n - 1) + 1
+        assert truncated_digits(x, bits, n) == "1." + "0" * (n - 2) + "7"
 
     def test_digits_beyond_int_str_limit(self):
         # Python >= 3.11 refuses str(int) above 4300 digits
