@@ -21,7 +21,7 @@ import importlib
 _EXPORTS = {
     "cm": ("CMQuadratic", "cm_tau", "combined_s2_term", "identity_check", "pi_from_identity",
            "pi_reference_digits", "quasiperiod_relation_check", "theorem_general_check"),
-    "errors": ("BranchWarning", "IndeterminateFormError", "ReductionError", "RegionError"),
+    "errors": ("IndeterminateFormError", "ReductionError", "RegionError"),
     "hypergeometric": ("HypParams", "hyp2f1", "hyp_derivative", "hyp_via_agm", "legendre_F", "legendre_F2",
                        "picard_fuchs_residual"),
     "legendre": ("LegendreCurve", "PeriodPair", "bruns_residuals", "check_theorem_around1", "check_theorem_period",

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 
 class RegionError(ValueError):
@@ -11,7 +11,3 @@ class IndeterminateFormError(ArithmeticError):
 
 class ReductionError(RuntimeError):
     """Upper-half-plane reduction failed to terminate within the step cap."""
-
-
-class BranchWarning(UserWarning):
-    """A fractional power was taken near or on its principal-branch cut."""

@@ -397,7 +397,8 @@ def picard_fuchs_residual(lam, ctx: PrecisionCtx):
 
 
 def hyp_via_agm(lam, ctx: PrecisionCtx):
-    """Independent oracle: 2F1(1/2,1/2;1;lambda) = 1/agm(1, sqrt(1-lambda)).
+    """Independent oracle: 2F1(1/2,1/2;1;lambda) = 1/agm(1, sqrt(1-lambda)),
+    the AGM on integers (numerics.agm), sharing no code with the series.
 
     Valid for real lambda < 1 (the package exercises [0, 0.9] and -1).
     """

@@ -22,12 +22,10 @@ so no branch is chosen; certified quantities elsewhere never depend on them
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BranchWarning
-from .numerics import PrecisionCtx, agm_converged, format_value, pi_reference
+from .numerics import PrecisionCtx, _agm_fixed, format_value, isqrt, pi_reference
 
 if TYPE_CHECKING:
     from .modular import TauPoint
@@ -118,10 +116,15 @@ def quasiperiod_bruns(lam, ctx: PrecisionCtx) -> PeriodPair:
 
 def _d_omega1_agm(lam, ctx: PrecisionCtx):
     """dOmega1/dlambda = 2 dK/dm = (E - (1-m) K) / (m (1-m)) at m = lambda from
-    the AGM of 1 and sqrt(1-m) alone: Omega1 = 2K = pi / a_N and, by
-    Legendre, E = K (1 - m/2 + t_N) with t = 0 in agm_sums."""
-    a, _, t = agm_converged(ctx.mp.mpf(1), ctx.mp.sqrt(1 - lam), 0, ctx.mp)
-    return pi_reference(ctx) / (2 * a) * (lam / 2 + t) / (lam * (1 - lam))
+    the AGM of 1 and sqrt(1-m) alone, on integers with 64 guard bits
+    (numerics._agm_fixed): Omega1 = 2K = pi / M for the limit
+    M = (a_N + b_N)/2 and, by Legendre, E = K (1 - m/2 - s) with
+    s = sum_(k>=1) 2^(k-1) c_k^2, the kernel's sum."""
+    mp = ctx.mp
+    bits = mp.prec + 64
+    one = 1 << bits
+    a, b, s = _agm_fixed(one, isqrt((one - int(mp.ldexp(lam, bits))) << bits), bits)
+    return pi_reference(ctx) * (lam / 2 - mp.ldexp(s, -bits)) / (mp.ldexp(a + b, -bits) * lam * (1 - lam))
 
 
 def bruns_residuals(lam, ctx: PrecisionCtx):
@@ -153,13 +156,6 @@ def bruns_residuals(lam, ctx: PrecisionCtx):
 # Homothety factor between the lattice of E_lambda and Z + Z tau
 # ---------------------------------------------------------------------------
 
-def _near_negative_cut(z, ctx: PrecisionCtx) -> bool:
-    zc = ctx.complex(z)
-    if zc.real >= 0:
-        return False
-    return abs(zc.imag) <= abs(zc.real) * ctx.zero_tol
-
-
 def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
     """The three printed expressions for the homothety factor mu(tau).
 
@@ -169,7 +165,9 @@ def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
     * mu_j      = Delta(tau)^(1/12)/J^(1/6) * (J-1)^(1/4)/27^(1/4) * same sqrt
     * mu_closed = (2^(1/3)/27) * Delta(tau)^(1/12) / (lambda(1-lambda))^(1/6)
 
-    All fractional powers are principal.  The three values are returned
+    Delta(tau)^(1/12) is 2 pi eta(tau)^2 and (l(1-l))^(1/6) the root from
+    eta products (_eta_roots), so neither chooses a branch; the powers of J
+    and the square roots are principal.  The three values are returned
     unreconciled so their mutual ratios (and the ratio to pi F(lambda)) can
     be measured; homothety_ratios does exactly that.
     """
@@ -179,30 +177,23 @@ def homothety_mu(t: TauPoint, ctx: PrecisionCtx):
 
 
 def _homothety_mu(t: TauPoint, lam, ctx: PrecisionCtx):
-    from .modular import delta_tau, weierstrass_g2_g3
+    from .modular import weierstrass_g2_g3
 
     mp = ctx.mp
-    prod = lam * (1 - lam)
-    if _near_negative_cut(prod, ctx):
-        warnings.warn(
-            "lambda(1-lambda) is on the negative real axis; sixth-root branch is ambiguous",
-            BranchWarning,
-            stacklevel=3,  # the caller of homothety_mu or homothety_ratios
-        )
     curve = weierstrass_from_lambda(lam)
     ratio = curve.g2 / curve.g3  # = 9(l^2-l+1)/((l+1)(2l-1)(l-2))
     g2, g3 = weierstrass_g2_g3(t, ctx)
     mu_sqrt = mp.sqrt(ratio * g3 / g2)
 
-    delta = delta_tau(t, ctx)
-    delta_12 = delta ** (mp.mpf(1) / 12)
+    _, prod_6, _, eta_tau = _eta_roots(t, ctx)
+    delta_12 = 2 * pi_reference(ctx) * eta_tau ** 2
     j = curve.j
     mu_j = (
         delta_12 / j ** (mp.mpf(1) / 6)
         * (j - 1) ** (mp.mpf(1) / 4) / mp.mpf(27) ** (mp.mpf(1) / 4)
         * mp.sqrt(ratio)
     )
-    mu_closed = mp.mpf(2) ** (mp.mpf(1) / 3) / 27 * delta_12 / prod ** (mp.mpf(1) / 6)
+    mu_closed = mp.cbrt(2) / 27 * delta_12 / prod_6
     return mu_sqrt, mu_j, mu_closed
 
 

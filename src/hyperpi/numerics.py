@@ -10,9 +10,12 @@ with the same working digits share one ``MPContext`` and one pi, so a call
 rebuilds neither; nothing in the package changes its precision after
 construction, so two contexts never see each other's precision.
 
-The reference pi is one integer Gauss-Legendre iteration for pi 2^bits
-(pi_fixed), cached per width: ``pi_reference`` rounds it once to an mpf
-and ``cm.pi_reference_digits`` reads its digits (truncated_digits).  It is
+The oracles share one AGM, on integers (_agm_fixed, with Legendre's sum
+and one stated floor-error bound): ``agm`` reads its operands into it
+exactly, ``legendre``'s Bruns check takes its limit and sum, and the
+reference pi is its Gauss-Legendre iteration for pi 2^bits (pi_fixed),
+cached per width: ``pi_reference`` rounds it once to an mpf and
+``cm.pi_reference_digits`` reads its digits (truncated_digits).  That is
 the only source of a "known pi" in this package: internal formulas and
 verification reports all take pi from it, never from the identities under
 test.
@@ -264,39 +267,57 @@ def log_abs(z) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Oracles
+# Oracles: one AGM, on integers
 # ---------------------------------------------------------------------------
 
-def agm(a, b, ctx: PrecisionCtx):
-    """Common limit of a' = (a+b)/2, b' = sqrt(ab) for positive a, b."""
-    a, b = ctx.real(a), ctx.real(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("agm requires positive operands")
-    a, b, _ = agm_converged(a, b, 0, ctx.mp)
-    return (a + b) / 2
+def _agm_fixed(a: int, b: int, bits: int) -> tuple[int, int, int]:
+    """(a_n, b_n, s) of the AGM of a / 2^bits and b / 2^bits, positive, on
+    integers of `bits` fractional bits, with Legendre's sum
+    s = sum_(k=1..n) 2^(k-1) c_k^2, c_k = a_(k-1) - a_k.  Step k sets
+    a_k = floor((a + b)/2), b_k = isqrt(ab) and adds 2^(k-1) c_k^2, floored;
+    the loop stops at the first n with 2^n (a_n - b_n)^2 < 2^bits, where
+    the next term of the sum is below 1/4 unit, the rest fall quadratically,
+    and the limit is within (a_n - b_n)^2 / (8 b_n) units of (a_n + b_n)/2
+    (a_n alone is up to (a_n - b_n)/2 off).
 
-
-def agm_sums(a, b, t, mp: MPContext):
-    """Successive (a_n, b_n, t_n), n >= 1, of the AGM of a_0 = a and b_0 = b
-    with Legendre's sum t_n = t - sum_(k=1..n) 2^(k-1) c_k^2, c_k = a_(k-1) - a_k."""
-    p = mp.mpf(1)
+    Every floor lowers its result by less than one unit and every step is
+    monotone, so a_k <= A_k and b_k <= B_k for the exact AGM (A_k, B_k) of
+    the same integers, and the relative shortfall grows by less than 1/B_k
+    per step.  As B_k grows from B_1 = sqrt(ab), a_n and b_n are within
+    n h units of A_n and B_n, where h = A_1 / B_1 = cosh(log(a/b)/2), the
+    factor by which the first square root moves an error in a or b: 1.0151
+    for pi_fixed's a/b = sqrt(2), and about sqrt(a/b)/2 for a far ratio,
+    which agm offsets by widening.  So c_k is within k h units, and s
+    is within n + h W units of the exact sum, W = sum_(k=1..n) k 2^k
+    (|C_k| + k h) / 2^bits for the exact c_k = C_k.
+    """
+    s = k = 0
     while True:
-        an = (a + b) / 2
-        a, b, t, p = an, mp.sqrt(a * b), t - p * (a - an) ** 2, 2 * p
-        yield a, b, t
+        mean = (a + b) >> 1
+        s += ((a - mean) ** 2 << k) >> bits
+        a, b = mean, isqrt(a * b)
+        k += 1
+        if ((a - b) ** 2 << k) >> bits == 0:
+            return a, b, s
 
 
-def agm_converged(a, b, t, mp: MPContext):
-    """The first (a_n, b_n, t_n), n >= 0, with |a_n - b_n| < 10^(-mp.dps)
-    max(1, a, b), as one ulp of a large result exceeds 10^(-mp.dps).
-    After a few linear steps convergence is quadratic; the cap is a safety net."""
-    tol = mp.mpf(10) ** (-mp.dps) * max(mp.mpf(1), a, b)
-    steps = agm_sums(a, b, t, mp)
-    for _ in range(64 + 4 * int(math.log2(mp.dps + 16))):
-        if abs(a - b) < tol:
-            return a, b, t
-        a, b, t = next(steps)
-    raise ArithmeticError("AGM iteration failed to converge")
+def agm(a, b, ctx: PrecisionCtx):
+    """Common limit of a' = (a+b)/2, b' = sqrt(ab) for positive a, b, to
+    ctx's precision relative to the limit: _agm_fixed on a and b read
+    exactly over 2^bits relative to the larger, with bits the precision p
+    plus 64 guard bits plus log2 of their ratio, so the smaller keeps its
+    digits, sqrt(ab) is at least 2^(p+63) units and the relative shortfall
+    is below n 2^-(p+63); (a_n + b_n)/2 is rounded once."""
+    mp = ctx.mp
+    a, b = ctx.real(a), ctx.real(b)
+    if not all(x > 0 and mp.isfinite(x) for x in (a, b)):
+        raise ValueError("agm requires positive finite operands")
+    parts = [x._mpf_ for x in (a, b)]
+    tops = [exp + bc for _, _, exp, bc in parts]  # x < 2^top
+    bits = mp.prec + 64 + max(tops) - min(tops)
+    shift = bits - max(tops)  # each mantissa is shifted left by at least 64
+    a, b, _ = _agm_fixed(*(man << exp + shift for _, man, exp, _ in parts), bits)
+    return mp.ldexp(mp.mpf(a + b), -shift - 1)
 
 
 def pi_reference(ctx: PrecisionCtx):
@@ -321,35 +342,24 @@ def _pi(working_digits: int):
 @lru_cache(maxsize=16)
 def pi_fixed(working_digits: int) -> tuple[int, int]:
     """(P, bits) with |P - pi 2^bits| < 24 (n + 2), from the Gauss-Legendre
-    iteration (Salamin 1976; Brent 1976) in n steps on integers of `bits`
-    fractional bits: 64 guard bits past ceil((working_digits + 1) log2 10),
-    which is at least mpmath's precision of these digits,
-    round((working_digits + 1) log2 10).
+    iteration (Salamin 1976; Brent 1976): _agm_fixed in n steps from
+    a_0 = 1, b_0 = 1/sqrt(2) on integers of `bits` fractional bits, 64
+    guard bits past ceil((working_digits + 1) log2 10), which is at least
+    mpmath's precision of these digits, round((working_digits + 1) log2 10),
+    then pi = (a_n + b_n)^2 / (4 t) with t = 1/4 - s.  n is about log2(bits)
+    (16 at 10^5 digits), so the bound is below 2^10 for any width below
+    2^35 bits.
 
-    a_0 = 1, b_0 = 1/sqrt(2), t_0 = 1/4, and step k sets a' = (a + b)/2,
-    b' = sqrt(ab), t' = t - 2^k (a - a')^2; pi = (a + b)^2 / (4t) once
-    2^k (a - b)^2 < 2^-bits, which leaves the remainders of t's sum and of
-    the limit of a + b each below 1/4 unit.  n is about log2(bits) (16 at
-    10^5 digits), so the bound is below 2^10 for any width below 2^35 bits.
-
-    Every floor (the halving, isqrt and the t update) is off by less than
-    one unit.  sqrt(ab) moves an error in a or b by at most
-    cosh(log(a/b)/2) <= 1.0151, its worst at the first step, so a and b
-    stay within k + 2 units after k steps; t is within n + 2, as the
-    2^k (a - a')^2 terms carry those errors with weights 2^(k+1) (a - a')
-    that sum below 1.02.  The final quotient moves by (a+b)/(2t) < 3.8 per
-    unit of a + b and by pi/t < 13.8 per unit of t, and floors once.
+    b_0 is floored once, which lowers the exact AGM by less than a unit and
+    moves its sum by less than W < 0.35.  With _agm_fixed's bound (h < 1.0152,
+    h W < 0.35) and the remainders the stopping rule leaves, a_n + b_n is
+    within 2.04 n + 2.25 units of twice the limit and t within n + 1.  The
+    final quotient moves by (a+b)/(2t) < 3.8 per unit of a + b and by
+    pi/t < 13.8 per unit of t, and floors once: 21.6 n + 24 units in all.
     """
     bits = math.ceil((working_digits + 1) * math.log2(10)) + 64
-    a, b, t = 1 << bits, isqrt(1 << (2 * bits - 1)), 1 << (bits - 2)
-    k = 0
-    while True:
-        mean = (a + b) >> 1
-        t -= ((a - mean) ** 2 << k) >> bits
-        a, b = mean, isqrt(a * b)
-        k += 1
-        if ((a - b) ** 2 << k) >> bits == 0:
-            return (a + b) ** 2 // (t << 2), bits
+    a, b, s = _agm_fixed(1 << bits, isqrt(1 << (2 * bits - 1)), bits)
+    return (a + b) ** 2 // ((1 << bits) - (s << 2)), bits
 
 
 def isqrt(n: int) -> int:

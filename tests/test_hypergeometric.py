@@ -627,3 +627,13 @@ class TestHypViaAgm:
 
     def test_negative_lambda_matches_pfaff(self, ctx50):
         assert abs(hyp_via_agm(-1, ctx50) - legendre_F(-1, ctx50)) < ctx50.real("1e-55")
+
+    @pytest.mark.parametrize("digits", [50, 300, 1000])
+    @pytest.mark.parametrize("lam", ["-1", "0.3", "0.9", "0.999"])
+    def test_against_mpmath_ellipk(self, digits, lam):
+        # 2F1(1/2,1/2;1;lambda) = 2 K(lambda) / pi, K from mpmath at 20 more digits
+        ctx = ctx_new(digits)
+        lam = ctx.real(lam)
+        with mpmath.workdps(ctx.working_digits + 20):
+            expected = 2 * mpmath.ellipk(lam) / mpmath.pi
+        assert abs(hyp_via_agm(lam, ctx) - expected) < ctx.eps * expected

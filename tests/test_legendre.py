@@ -1,10 +1,11 @@
 import random
+import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hyperpi import (
-    BranchWarning,
     bruns_residuals,
     check_theorem_around1,
     check_theorem_period,
@@ -110,6 +111,16 @@ class TestPeriods:
 
 
 class TestBrunsResiduals:
+    @pytest.mark.parametrize("lam", ["0.01", "0.05", "0.3", "0.5"])
+    def test_agm_derivative_against_mpmath(self, lam):
+        # dOmega1/dlambda = (E - (1-m) K) / (m (1-m)), E and K from mpmath at 20 more digits
+        ctx = ctx_new(100)
+        lam = ctx.real(lam)
+        with mpmath.workdps(ctx.working_digits + 20):
+            m = mpmath.mpf(lam)  # so 1 - m is not rounded at ctx's precision
+            expected = (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / (m * (1 - m))
+        assert abs(legendre._d_omega1_agm(lam, ctx) - expected) < ctx.eps * expected
+
     @pytest.mark.parametrize("num", [5, 30, 50])
     def test_residuals_small(self, num):
         ctx = PrecisionCtx(48)  # 60 working digits
@@ -150,25 +161,28 @@ class TestHomothety:
             assert abs(a - b) < ctx50.real("1e-45")
 
     def test_closed_form_twelfth_power_consistency(self, ctx50):
-        # mu_closed^12 (lambda(1-lambda))^2 / Delta(tau) == (2^(1/3)/27)^12
-        t = tau_point(_mpc(ctx50, 0, 2), ctx50)
-        _, _, mu_closed = homothety_mu(t, ctx50)
-        lam = lambda_tau(t, ctx50)
-        measured = mu_closed**12 * (lam * (1 - lam)) ** 2 / delta_tau(t, ctx50)
+        # mu_closed^12 (lambda(1-lambda))^2 / Delta(tau) == (2^(1/3)/27)^12,
+        # also where lambda is negative real (1 + 0.8i, 1 + 1.5i)
         expected = ctx50.real(2) ** 4 / ctx50.real(27) ** 12
-        assert abs(measured - expected) < ctx50.real("1e-55")
+        for re, im in [(0, 2), (1, "0.8"), (1, "1.5")]:
+            t = tau_point(_mpc(ctx50, re, im), ctx50)
+            _, _, mu_closed = homothety_mu(t, ctx50)
+            lam = lambda_tau(t, ctx50)
+            measured = mu_closed**12 * (lam * (1 - lam)) ** 2 / delta_tau(t, ctx50)
+            assert abs(measured - expected) < ctx50.real("1e-55"), (re, im)
 
-    def test_branch_warning_on_negative_cut(self, ctx50):
-        t = tau_point(_mpc(ctx50, 1, "0.8"), ctx50)  # lambda is negative real
-        with pytest.warns(BranchWarning):
-            homothety_mu(t, ctx50)
+    def test_closed_form_ratio_at_2i(self, ctx50):
+        _, _, closed = homothety_ratios(tau_point(_mpc(ctx50, 0, 2), ctx50), ctx50)
+        expected = ctx50.mp.cbrt(4) / 27
+        assert abs(closed - expected) < ctx50.real("1e-45")
 
-    def test_branch_warning_names_the_caller(self, ctx50):
-        t = tau_point(_mpc(ctx50, 1, "1.5"), ctx50)  # lambda in (-1, 0)
-        for public in (homothety_mu, homothety_ratios):
-            with pytest.warns(BranchWarning) as record:
-                public(t, ctx50)
-            assert record[0].filename == __file__
+    def test_no_warning_where_lambda_is_negative_real(self, ctx50):
+        # lambda(1-lambda) < 0 at both points: the roots come from eta products
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for im in ("0.8", "1.5"):
+                t = tau_point(_mpc(ctx50, 1, im), ctx50)
+                assert all(ctx50.mp.isfinite(mu) for mu in homothety_mu(t, ctx50))
 
 
 class TestPeriodIdentityChecks:

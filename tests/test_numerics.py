@@ -2,14 +2,19 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpi import agm, ctx_new, format_complex, format_real, parse_complex, parse_real, pi_reference
+from hyperpi import numerics
 from hyperpi.cm import pi_reference_digits
 from hyperpi.numerics import (
     PrecisionCtx,
+    _agm_fixed,
     exact_mpf,
     fixed_point,
     fixed_point_bits,
@@ -85,6 +90,45 @@ class TestAgm:
             agm(0, 1, ctx50)
         with pytest.raises(ValueError):
             agm(1, -2, ctx50)
+        with pytest.raises(ValueError):
+            agm("inf", 1, ctx50)
+
+    @pytest.mark.parametrize("a, b", [("1e-61", "2e-61"), ("1e-70", "3e-70"), ("1", "1e-80"), ("1e200", "1"),
+                                      ("1e-200", "3e-200"), ("2e200", "5e200"), ("1e200", "1e-200")])
+    def test_relative_precision_against_mpmath(self, ctx50, a, b):
+        # the operands as ctx50 reads them; mpmath's agm at 80 digits
+        a, b = ctx50.real(a), ctx50.real(b)
+        with mpmath.workdps(80):
+            expected = mpmath.agm(a, b)
+        assert abs(agm(a, b, ctx50) - expected) < ctx50.eps * expected
+
+
+class TestAgmKernel:
+    # the AGM of the kernel's integers at twice its width plus 64 bits, against
+    # the floor-error bound _agm_fixed states: a_n, b_n within n h units
+    # below A_n, B_n and the sum within n + h W units
+    @settings(max_examples=100, deadline=None)
+    @given(bits=st.integers(8, 10**4), gap=st.floats(0, 1), swap=st.booleans(), data=st.data())
+    def test_within_stated_floor_bound(self, bits, gap, swap, data):
+        a = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1), label="a")
+        low = max(1, int(bits * (1 - gap)))  # b has `low` bits, a ratio up to 2^(bits - 1)
+        b = data.draw(st.integers(1 << (low - 1), (1 << low) - 1), label="b")
+        if swap:
+            a, b = b, a
+        with mock.patch.object(numerics, "isqrt", wraps=numerics.isqrt) as steps:
+            a_n, b_n, s = _agm_fixed(a, b, bits)
+        n = steps.call_count
+        with mpmath.workprec(2 * bits + 64):
+            A, B, S, W = mpmath.mpf(a), mpmath.mpf(b), 0, 0
+            h = (A + B) / (2 * mpmath.sqrt(A * B))
+            for k in range(1, n + 1):
+                C = (A - B) / 2
+                A, B = A - C, mpmath.sqrt(A * B)
+                S += 2 ** (k - 1) * C**2 / 2**bits
+                W += k * 2**k * (abs(C) + k * h) / 2**bits
+            tiny = mpmath.mpf(2) ** -32  # the rounding of A and B
+            assert -tiny <= A - a_n <= n * h and -tiny <= B - b_n <= n * h
+            assert abs(s - S) <= n + h * W
 
 
 class TestPiReference:
