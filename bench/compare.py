@@ -12,7 +12,7 @@ CASE is one of:
   hyp2f1   one `hyp2f1` call on F = 2F1(1/2,1/2;1;z) and F2 = 2F1(3/2,3/2;2;z)
            at mpf z in 0.3, 0.5, -0.45, 0.9, at mpc z in 0.3+0.4i, -0.2+0.1i
            and at 30, 100 and 300 digits, 3 timed calls after a warm-up;
-           counts: the terms `_series` sums (`_plan`), and error_eps =
+           counts: the terms `_sums` sums (`_plan`), and error_eps =
            |hyp2f1 - mpmath.hyp2f1| in units of 10^-working, with the oracle
            at 30 more bits.
   qseries  `tau_point` plus one call of eta, E2, E4, E6 or lambda on its point,

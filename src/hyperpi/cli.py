@@ -22,13 +22,9 @@ import importlib
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import IndeterminateFormError, ReductionError, RegionError
 from .numerics import ctx_new, format_value, parse_complex
-
-if TYPE_CHECKING:
-    from .reports import FormulaReport
 
 # Each subcommand imports the modules it runs when it runs: pi and verify
 # load no modular, legendre or suite, and eval loads the one module of its

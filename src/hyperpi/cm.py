@@ -35,27 +35,18 @@ digits from the same integer), never from the identities under test.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from .hypergeometric import F_PARAMS, _rounded, hyp2f1_fixed
 from .numerics import PrecisionCtx, ctx_new, pi_fixed, pi_reference, truncated_digits
 from .reports import FormulaReport, make_report
 
-if TYPE_CHECKING:
-    from .modular import TauPoint
-
 # The CM-point functions import modular and legendre when called, so the pi
 # engine and the identity checks load neither.
 
 
-class _QuadraticFields(NamedTuple):
-    a: int
-    b: int
-    c: int
-
-
-class CMQuadratic(_QuadraticFields):
+class CMQuadratic(namedtuple("CMQuadratic", "a b c")):
     """Integer triple (a, b, c) of a tau quadratic a tau^2 + b tau + c = 0."""
 
     __slots__ = ()
@@ -144,7 +135,7 @@ def _identity(which: int, ctx: PrecisionCtx):
     within 4 tail_tol of k/pi."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    F, dF, bits = hyp2f1_fixed(F_PARAMS, Fraction(1, 2) if which == 1 else Fraction(-1), ctx)
+    F, _, dF, _, bits = hyp2f1_fixed(F_PARAMS, Fraction(1, 2) if which == 1 else Fraction(-1), ctx)
     if which == 1:
         return 8, F * 4 * dF >> bits, bits
     return 1, F * (F - 4 * dF) >> bits, bits

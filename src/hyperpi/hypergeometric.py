@@ -1,15 +1,17 @@
 """Gauss 2F1 evaluation in the regions the period formulas need.
 
-Two evaluation routes cover every point this package uses:
+One route, hyp2f1_fixed, takes every argument, a Fraction, mpf or mpc z,
+under one region rule:
 
-* direct power series for |z| <= 15/16 (the classical radius the Legendre
-  relation needs runs up to lambda = 0.9);
-* the Pfaff transformation (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for
-  Re(z) < 0 with |z/(z-1)| <= 1/2, which reaches z = -1.
+* the direct power series where |z| <= 1/2, Re z >= 0 or |z/(z-1)| > 1/2,
+  up to |z| <= 15/16 (the classical radius the Legendre relation needs runs
+  up to lambda = 0.9);
+* otherwise the Pfaff transformation (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
+  (DLMF 15.8.1), whose argument then lies in |w| <= 1/2; it reaches z = -1.
 
 Anything else raises RegionError; no silent analytic continuation.
 
-One fixed-point kernel, _series, sums every series, with z as
+One fixed-point kernel, _sums, sums every series, with z as
 (re + i im) / (2^s d) in integers: an mpf or mpc z read to twice the
 kernel's fractional bits (d = 1), and a Fraction z (the 1/pi identities use
 z = 1/2 and z = -1, whose Pfaff image is 1/2) exactly, with its
@@ -30,36 +32,29 @@ bits keep the floor roundings of both sums below tail_tol / 2, so each is
 within tail_tol = 10^-(working+5) before its one rounding to working
 precision.
 
-At a Fraction z the value and the derivative stay integers over 2^bits
-through Pfaff too (hyp2f1_fixed), whose prefactor (1-z)^(-a) is then an
-integer square root for a whole or half-integer a; the public wrappers
-round each once, and the 1/pi identities (cm) multiply the integers before
-their one rounding.  At an mpf or mpc z the Pfaff prefactor is an mpf
-power.
+The value and the derivative stay integers over 2^bits through Pfaff too,
+whose (1-z)^(-a) and 1/(1-z) are integers as well (_power): exact integer
+roots at a Fraction z and a whole or half-integer a, else an mpmath power
+read to the same bits.  The public wrappers round each part once, and the
+1/pi identities (cm) multiply the integers before their one rounding.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import RegionError
-from .numerics import PrecisionCtx, _mp_context, agm, fixed_point, isqrt, log_abs
+from .numerics import PrecisionCtx, _mp_context, _tail_bits, agm, fixed_point, isqrt, log_abs
 
 DIRECT_RADIUS = Fraction(15, 16)
 PFAFF_RADIUS = Fraction(1, 2)
-_BLOCK = 64  # terms per block of _series: one division at a Fraction z, narrow sums otherwise
+_BLOCK = 64  # terms per block of _sums: one division at a Fraction z, narrow sums otherwise
 
 
-class _HypFields(NamedTuple):
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-
-class HypParams(_HypFields):
+class HypParams(namedtuple("HypParams", "a b c")):
     """Exact rational parameters (a, b; c) of a 2F1 series."""
 
     __slots__ = ()
@@ -87,7 +82,7 @@ def _as_scalar(z, ctx: PrecisionCtx):
 
 
 def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
-    """(n, bits): _series sums u_0 ... u_(n-1), u_k = t_(k+1) / z, at a z with
+    """(n, bits): _sums sums u_0 ... u_(n-1), u_k = t_(k+1) / z, at a z with
     log|z| = log_az to `bits` fractional bits.
 
     N counts the derivative series (a', b'; c') = (a+1, b+1; c+1), whose
@@ -153,9 +148,8 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     if count > cap:
         raise ArithmeticError(f"2F1 series did not meet tolerance in {cap} terms")
     n = max(count + 1, math.ceil(abs(p.a * p.b / p.c)))
-    error_bits = math.log2(4 * n**3) + growth / math.log(2)
-    # 2 more bits cover the float rounding of the count
-    return n, math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+    # _tail_bits' 2 slack bits also cover the float rounding of the count
+    return n, _tail_bits(ctx, math.log2(4 * n**3) + growth / math.log(2))
 
 
 def _block(u: int, k0: int, ratios):
@@ -181,16 +175,6 @@ def _block(u: int, k0: int, ratios):
     g = max(abs(a), abs(a1), abs(prod)).bit_length()
     v = (u << g) // e
     return v * a >> g, v * a1 >> g, v * prod >> g
-
-
-def _series(p: HypParams, z, ctx: PrecisionCtx):
-    """(value, derivative, n) of the 2F1 series at a Fraction, mpf or mpc z:
-    _sums rounded once each to mpfs for a real z, to mpcs for an mpc z."""
-    value_r, value_i, deriv_r, deriv_i, bits, n = _sums(p, z, ctx)
-    vr, vi, dr, di = (_rounded(x, bits, ctx) for x in (value_r, value_i, deriv_r, deriv_i))
-    if hasattr(z, "_mpc_"):
-        return ctx.mp.mpc(vr, vi), ctx.mp.mpc(dr, di), n
-    return vr, dr, n
 
 
 def _rounded(x: int, bits: int, ctx: PrecisionCtx):
@@ -275,81 +259,104 @@ def _sums(p: HypParams, z, ctx: PrecisionCtx):
     return value_r, value_i, deriv_r, deriv_i, bits, n
 
 
-def _region_error(z) -> RegionError:
-    return RegionError(
-        f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
-        "(Re z < 0, |z/(z-1)| <= 1/2) regions"
-    )
-
-
 def _hyp2f1_pair(p: HypParams, z, ctx: PrecisionCtx):
-    """(2F1(a, b; c; z), its z-derivative) from one series, by the direct
-    series or the Pfaff transformation; RegionError outside both regions.
-    At a Fraction z, hyp2f1_fixed's integers rounded once each.
-
-    Through Pfaff, F = (1-z)^(-a) G(w) with w = z/(z-1), so
-    F' = (1-z)^(-a-1) (a G(w) - G'(w) / (1-z)).
-    """
-    if isinstance(z, Fraction):
-        value, deriv, bits = hyp2f1_fixed(p, z, ctx)
-        return _rounded(value, bits, ctx), _rounded(deriv, bits, ctx)
-    z = _as_scalar(z, ctx)
-    # slack so boundary points computed with working-precision noise
-    # (e.g. lambda(i) = 1/2 + O(eps)) still land in their region
-    half = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol)
-    if abs(z) > half and z.real < 0:
-        w = z / (z - 1)
-        if abs(w) <= half:
-            g, dg, _ = _series(HypParams(p.a, p.c - p.b, p.c), w, ctx)
-            one_minus_z = 1 - z
-            prefactor = one_minus_z ** ctx.real(-p.a)
-            return prefactor * g, prefactor / one_minus_z * (ctx.real(p.a) * g - dg / one_minus_z)
-    if abs(z) <= ctx.real(DIRECT_RADIUS):
-        return _series(p, z, ctx)[:2]
-    raise _region_error(z)
+    """(2F1(a, b; c; z), its z-derivative): hyp2f1_fixed's integers rounded
+    once each, to mpfs for a real z and to mpcs for an mpc z."""
+    if not isinstance(z, Fraction):
+        z = _as_scalar(z, ctx)
+    *parts, bits = hyp2f1_fixed(p, z, ctx)
+    value_r, value_i, deriv_r, deriv_i = (_rounded(x, bits, ctx) for x in parts)
+    if hasattr(z, "_mpc_"):
+        return ctx.mp.mpc(value_r, value_i), ctx.mp.mpc(deriv_r, deriv_i)
+    return value_r, deriv_r
 
 
-def hyp2f1_fixed(p: HypParams, z: Fraction, ctx: PrecisionCtx):
-    """(value, derivative, bits): 2F1(a, b; c; z) and its z-derivative at a
-    Fraction z as integers over 2^bits, by the direct series or, for
-    -1 <= z < -1/2, by Pfaff; RegionError outside both regions.
+def hyp2f1_fixed(p: HypParams, z, ctx: PrecisionCtx):
+    """(value_r, value_i, deriv_r, deriv_i, bits): 2F1(a, b; c; z) and its
+    z-derivative at a Fraction, mpf or mpc z as integers over 2^bits, by
+    the direct series or by Pfaff; RegionError outside both regions.  The
+    one region rule of this module: the direct series where |z| <= 1/2,
+    Re z >= 0 or |w| > 1/2, w = z/(z-1), up to |z| <= 15/16, else Pfaff.
+    A Fraction z is compared exactly; at an mpf or mpc z the radius 1/2
+    has a slack of zero_tol, so that a point computed with working-precision
+    noise (lambda(i) = 1/2 + O(eps)) still lands in its region.
 
-    Direct, each is _sums' integer, within tail_tol / 2 plus the series tail
-    (below tail_tol / 1000).  Through Pfaff, with 1 - z = m/n and
-    P = (1-z)^(-a) within one unit (_power), the value is floor(P G / 2^bits)
-    and the derivative floor(floor(P n/m) (floor(a G) - floor(G' n/m)) / 2^bits):
-    each floor adds less than one unit, and G's and G''s errors arrive
-    multiplied by |P| and by |P| (|a| + n/m) n/m; n/m < 2/3 here.
+    Direct, each part is _sums' integer, within e = tail_tol / 2 +
+    tail_tol / 1000: the floors' bound plus the series tail.  Through Pfaff,
+    with G and G' the series (a, c-b; c) and its derivative at w, each part
+    within that e, P = (1-z)^(-a) and v = 1/(1-z),
+
+        value = P G,  derivative = P v (a G - v G'),
+
+    each complex product floored once per part.  Each part of P and v is
+    within one unit (_power) and each floor moves a part by less than one,
+    so each of those errors is below 2 units in modulus.  G's and G''s
+    errors arrive multiplied by |P| in the value and by |P v a| and |P v^2|
+    in the derivative; the roundings of P, v and the products add less than
+    2 (|G| + 1) units to the value and
+    2 (|P v| (|G'| + 2) + (|P| + |v| + 2) |a G - v G'| + 1) to the
+    derivative, plus products of two errors, far smaller.  Here
+    1 < |1-z| <= 2, so |v| < 1 and |P| <= 2^|a|: at z = -1 and a = 1/2,
+    P = 2^(-1/2) and v = 1/2.  At an mpf or mpc z, w is rounded once, by
+    less than 10^-(2 working + 10) |w| (_pfaff_image): that moves G and G'
+    by their slopes times as much, below tail_tol / 1000 wherever the
+    slopes of G and G' are below 10^(working + 2).
 
     Public, as the pi engines call it directly: perfbench's tracer, which
     wraps the public functions of each module, then times their series in
     this module.
     """
-    if -1 <= z < -PFAFF_RADIUS:  # Re z < 0, |z| > 1/2 and |z/(z-1)| <= 1/2
-        g, _, dg, _, bits, _ = _sums(HypParams(p.a, p.c - p.b, p.c), z / (z - 1), ctx)
-        m, n = (1 - z).as_integer_ratio()
-        prefactor = _power(Fraction(n, m), p.a, bits)
-        inner = p.a.numerator * g // p.a.denominator - dg * n // m
-        return prefactor * g >> bits, prefactor * n // m * inner >> bits, bits
-    if abs(z) <= DIRECT_RADIUS:
-        value, _, deriv, _, bits, _ = _sums(p, z, ctx)
-        return value, deriv, bits
-    raise _region_error(z)
+    if isinstance(z, Fraction):
+        half, direct = PFAFF_RADIUS, DIRECT_RADIUS
+    else:
+        half, direct = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol), ctx.real(DIRECT_RADIUS)
+    if abs(z) > half and z.real < 0 and abs(w := _pfaff_image(z, ctx)) <= half:
+        g_r, g_i, dg_r, dg_i, bits, _ = _sums(HypParams(p.a, p.c - p.b, p.c), w, ctx)
+        prefactor, v = _power(z, -p.a, bits), _power(z, Fraction(-1), bits)
+        inner = [p.a.numerator * g // p.a.denominator - vg
+                 for g, vg in zip((g_r, g_i), _product(v, (dg_r, dg_i), bits))]
+        return (*_product(prefactor, (g_r, g_i), bits),
+                *_product(_product(prefactor, v, bits), inner, bits), bits)
+    if abs(z) <= direct:
+        return _sums(p, z, ctx)[:5]
+    raise RegionError(f"z = {z} outside direct (|z| <= {DIRECT_RADIUS}) and Pfaff "
+                      "(Re z < 0, |z/(z-1)| <= 1/2) regions")
 
 
-def _power(x: Fraction, e: Fraction, bits: int) -> int:
-    """x^e 2^bits within one unit, for a Fraction x in [1/2, 1) and a
-    rational e: the exact floor from an integer square root where e is a
-    whole or half integer, else an mpf power with bits + 2|e| + 20 bits,
-    which cover |x^e| <= 2^|e| and the rounding of e."""
-    if e.denominator <= 2:
-        num, den = (x**e.numerator).as_integer_ratio()
+def _pfaff_image(z, ctx: PrecisionCtx):
+    """w = z/(z-1): exact at a Fraction z, else rounded once at
+    2 working + 10 digits from the exact z - 1."""
+    if isinstance(z, Fraction):
+        return z / (z - 1)
+    wide = _mp_context(2 * ctx.working_digits + 10)
+    return wide.fdiv(z, wide.fsub(z, 1, exact=True))
+
+
+def _product(x, y, bits: int):
+    """x y for pairs (re, im) of integers over 2^bits, each part floored."""
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> bits, (xr * yi + xi * yr) >> bits
+
+
+def _power(z, e: Fraction, bits: int):
+    """(re, im): (1-z)^e 2^bits, each part within one unit, for a rational e
+    and a Fraction, mpf or mpc z with 1 < |1-z| <= 2 and Re(1-z) > 0 (the
+    Pfaff region), on the principal branch.  At a Fraction z and a whole or
+    half-integer e, the exact floor from an integer square root; otherwise
+    an mpmath power with bits + 2|e| + 20 bits, which cover
+    |(1-z)^e| <= 2^|e| and the rounding of e, read to `bits`
+    (numerics.fixed_point truncates each part by less than a unit).  1 - z
+    is formed at that precision, exactly (a Fraction z is first rounded to
+    it)."""
+    if isinstance(z, Fraction) and e.denominator <= 2:
+        num, den = ((1 - z) ** e.numerator).as_integer_ratio()
         if e.denominator == 1:
-            return (num << bits) // den
-        return isqrt((num << 2 * bits) // den)  # floor(sqrt(floor(y))) = floor(sqrt(y))
+            return (num << bits) // den, 0
+        return isqrt((num << 2 * bits) // den), 0  # floor(sqrt(floor(y))) = floor(sqrt(y))
     mp = _mp_context(math.ceil((bits + 2 * abs(e) + 20) * math.log10(2)))
-    power = mp.power(mp.mpf(x.numerator) / x.denominator, mp.mpf(e.numerator) / e.denominator)
-    return int(mp.ldexp(power, bits))
+    power = mp.power(mp.fsub(1, z, exact=True), mp.mpf(e.numerator) / e.denominator)
+    re, im, s, _ = fixed_point(power, bits)
+    return re << bits - s, im << bits - s
 
 
 def hyp2f1(p: HypParams, z, ctx: PrecisionCtx):

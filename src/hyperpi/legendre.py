@@ -22,28 +22,20 @@ so no branch is chosen; certified quantities elsewhere never depend on them
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
 from .numerics import PrecisionCtx, _agm_fixed, format_value, isqrt, pi_reference
-
-if TYPE_CHECKING:
-    from .modular import TauPoint
-    from .reports import FormulaReport
 
 # The period and check functions import hypergeometric, modular and reports
 # when called, so J(lambda), which is rational in lambda, loads none of them.
 
 
-class LegendreCurve(NamedTuple):
-    lam: object
-    g2: object
-    g3: object
-    disc: object
-    e0: object
-    e1: object
-    e_lam: object
-    degenerate: bool
+class LegendreCurve(namedtuple("LegendreCurve", "lam g2 g3 disc e0 e1 e_lam degenerate")):
+    """Weierstrass invariants g2, g3, disc and 2-torsion roots e0, e1, e_lam
+    of the curve at lam; degenerate where disc = 0."""
+
+    __slots__ = ()
 
     @property
     def j(self):
@@ -78,14 +70,11 @@ def normalized_j(lam):
     return weierstrass_from_lambda(lam).j
 
 
-class PeriodPair(NamedTuple):
+class PeriodPair(namedtuple("PeriodPair", "omega1 h1 F F2")):
     """First period Omega1 and first quasi-period H1 of the Weierstrass model,
     with the values F(lambda) and F2(lambda) they were built from."""
 
-    omega1: object
-    h1: object
-    F: object
-    F2: object
+    __slots__ = ()
 
     def curve_periods(self, lam):
         """(P1, Q1) of y^2 = x(x-1)(x-lambda): P1 = 2 Omega1,

@@ -23,20 +23,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, ctx_new, exact_mpf, fixed_point, fixed_point_bits, log_abs, pi_reference
+from .numerics import PrecisionCtx, _tail_bits, ctx_new, exact_mpf, fixed_point, fixed_point_bits, log_abs, pi_reference
 
 MAX_INVERSIONS = 1000  # reduce_tau's cap
 MAX_EXACT_BITS = 1 << 24  # tau_point's cap on the width of tau's exact integers
 
 
-class _WordFields(NamedTuple):
-    letters: tuple[tuple[str, int], ...]
-
-
-class TransformWord(_WordFields):
+class TransformWord(namedtuple("TransformWord", "letters")):
     """Runs (letter, count) that map the reduced point back to the original
     one, first run first: ("T", m) is tau -> tau + m for an integer m, and
     ("S", n) is tau -> -1/tau applied n times."""
@@ -71,20 +67,14 @@ class TransformWord(_WordFields):
         return a, b, c, d
 
 
-class TauPoint(NamedTuple):
+class TauPoint(namedtuple("TauPoint", "tau word reduced tau0 x q real_q")):
     """tau (rounded to ctx) and its reduction: word maps tau0 = (re + i im)/den,
     `reduced` = (re, im, den) in exact integers, from the fundamental domain
     back to tau; x = e^(pi i tau0) and q = x^2 are the nome of tau0, not of
     tau.  real_q: 2 Re(tau) is an integer, so q(tau) is real, and so are
     E_k, Delta and s2."""
 
-    tau: object
-    word: TransformWord
-    reduced: tuple[int, int, int]
-    tau0: object
-    x: object
-    q: object
-    real_q: bool
+    __slots__ = ()
 
 
 def tau_point(tau, ctx: PrecisionCtx) -> TauPoint:
@@ -299,9 +289,8 @@ def _eisenstein_series(q, ctx: PrecisionCtx):
     """
     log_r = log_abs(q)
     n_terms = _lambert_count(log_r, ctx)
-    error_bits = 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r))
-    # 2 more bits cover the float rounding of error_bits and r
-    bits = math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
+    # _tail_bits' 2 slack bits cover the float rounding of these error bits and r
+    bits = _tail_bits(ctx, 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r)))
     qr, qi, s, _ = fixed_point(q, bits)
     one = 1 << bits
     qr, qi = qr << bits - s, qi << bits - s

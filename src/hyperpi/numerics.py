@@ -28,10 +28,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from mpmath.ctx_mp import MPContext
 
 
 class PrecisionCtx:
@@ -228,6 +224,13 @@ def fixed_point(z, bits: int | None = None):
         s = min(s, bits)
     re, im = ((-1) ** sign * (man << exp + s if exp + s >= 0 else man >> -exp - s) for sign, man, exp, _ in parts)
     return re, im, s, 1
+
+
+def _tail_bits(ctx: PrecisionCtx, error_bits: float) -> int:
+    """Fractional bits of a fixed-point series whose floors miss by less than
+    2^error_bits units in all: they keep that below tail_tol / 2, and 2 more
+    cover the float rounding of error_bits."""
+    return math.ceil((ctx.working_digits + 5) * math.log2(10) + 1 + error_bits) + 2
 
 
 def fixed_point_bits(z) -> int:

@@ -13,21 +13,17 @@ report they print passes.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .numerics import PrecisionCtx, format_real, format_value
 
 
-class FormulaReport(NamedTuple):
-    """One check; to_dict gives its 7-key JSON record."""
+class FormulaReport(namedtuple("FormulaReport", "label lhs rhs abs_error digits_requested passed branch_flags",
+                               defaults=((),))):
+    """One check; to_dict gives its 7-key JSON record.  No check sets
+    branch_flags, a tuple of strings; the record keeps its key."""
 
-    label: str
-    lhs: str
-    rhs: str
-    abs_error: str
-    digits_requested: int
-    passed: bool
-    branch_flags: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -45,11 +41,10 @@ class FormulaReport(NamedTuple):
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        flags = f"  [{'; '.join(self.branch_flags)}]" if self.branch_flags else ""
-        return f"{status}  {self.label}  abs_error={self.abs_error}{flags}"
+        return f"{status}  {self.label}  abs_error={self.abs_error}"
 
 
-def make_report(label, lhs, rhs, ctx: PrecisionCtx, branch_flags=(), digits=None) -> FormulaReport:
+def make_report(label, lhs, rhs, ctx: PrecisionCtx, digits=None) -> FormulaReport:
     """Report comparing two computed values under ctx's pass rule."""
     if digits is None:
         digits = ctx.target_digits
@@ -62,7 +57,6 @@ def make_report(label, lhs, rhs, ctx: PrecisionCtx, branch_flags=(), digits=None
         abs_error=format_real(err, ctx, 3),
         digits_requested=digits,
         passed=bool(err < threshold),
-        branch_flags=branch_flags,
     )
 
 

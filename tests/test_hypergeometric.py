@@ -18,7 +18,8 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _series, _sums, legendre_F_F2
+from hyperpi.hypergeometric import (F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _rounded, _sums, hyp2f1_fixed,
+                                    legendre_F_F2)
 from hyperpi.numerics import ctx_new, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
@@ -54,6 +55,13 @@ def _against_mpmath(p, z, value, ctx):
         a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
         oracle = mpmath.hyp2f1(a, b, c, mpmath.mpmathify(z))
         return abs(mpmath.mpmathify(value) - oracle) / (mpmath.mpf(ctx.eps) * max(1, abs(oracle)))
+
+
+def _series_value(p, z, ctx):
+    """The value of the direct series at z, _sums' integers rounded once per
+    part, as an mpc: no region rule chooses the route."""
+    value_r, value_i, _, _, bits, _ = _sums(p, z, ctx)
+    return ctx.mp.mpc(_rounded(value_r, bits, ctx), _rounded(value_i, bits, ctx))
 
 
 def _exact(x):
@@ -101,23 +109,24 @@ class TestHyp2f1:
     @pytest.mark.parametrize("lam", ["-0.05", "-0.3", "-0.62", "-0.9"])
     def test_pfaff_consistent_with_direct_series(self, ctx50, lam):
         z = ctx50.real(lam)
-        direct = _series(F_PARAMS, z, ctx50)[0]
+        direct = _series_value(F_PARAMS, z, ctx50)
         assert abs(hyp2f1(F_PARAMS, z, ctx50) - direct) < ctx50.real("1e-55")
 
     @pytest.mark.parametrize("x", ["0.3", "-0.7", "0.9"])
     def test_real_series_is_real_part_of_complex_series(self, ctx50, x):
         z = ctx50.real(x)
-        value, deriv, n = _series(F2_PARAMS, z, ctx50)
-        complex_value, complex_deriv, complex_n = _series(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50)
+        sums = _sums(F2_PARAMS, z, ctx50)
+        assert sums == _sums(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50)
+        assert sums[1] == sums[3] == 0
+        value, deriv = hyp2f1(F2_PARAMS, z, ctx50), hyp_derivative(F2_PARAMS, z, ctx50)
         assert isinstance(value, ctx50.mp.mpf) and isinstance(deriv, ctx50.mp.mpf)
-        assert value == complex_value.real and complex_value.imag == 0
-        assert deriv == complex_deriv.real and complex_deriv.imag == 0
-        assert n == complex_n
+        assert (value, deriv) == (hyp2f1(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50),
+                                  hyp_derivative(F2_PARAMS, ctx50.mp.mpc(z, 0), ctx50))
 
     def test_wide_direct_region_against_agm(self, ctx50):
         z = ctx50.real("0.9")
-        value, _, n_terms = _series(F_PARAMS, z, ctx50)
-        assert abs(value - hyp_via_agm(z, ctx50)) < ctx50.real("1e-55")
+        value_r, _, _, _, bits, n_terms = _sums(F_PARAMS, z, ctx50)
+        assert abs(_rounded(value_r, bits, ctx50) - hyp_via_agm(z, ctx50)) < ctx50.real("1e-55")
         # |z| = 0.9 costs ~22 digits/term-decade: keep the count bounded
         assert n_terms < 25 * (ctx50.working_digits + 10)
 
@@ -150,8 +159,7 @@ class TestExactRoute:
         ctx = request.getfixturevalue(f"ctx{digits}")
         r = ctx.real
         oracle = ctx.mp.hyp2f1(r(p.a), r(p.b), r(p.c), r(z))
-        # direct points agree to the last bit; at z = -1 the Pfaff
-        # prefactor, an mpf power, adds one rounding
+        # one rounding of integers within tail_tol, through Pfaff at z = -1 too
         assert abs(hyp2f1(p, z, ctx) - oracle) <= ctx.eps
 
     @pytest.mark.parametrize("p", EXACT_PARAMS, ids=EXACT_IDS)
@@ -168,7 +176,7 @@ class TestExactRoute:
     def test_never_fewer_terms_than_mpf_route(self, request, digits, z):
         ctx = request.getfixturevalue(f"ctx{digits}")
         for p in EXACT_PARAMS:
-            assert _series(p, z, ctx)[-1] >= _series(p, ctx.real(z), ctx)[-1]
+            assert _sums(p, z, ctx)[-1] >= _sums(p, ctx.real(z), ctx)[-1]
 
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(-2), Fraction(5, 2), Fraction(1, 3), Fraction(-7, 4)],
                              ids=str)
@@ -206,12 +214,11 @@ class TestFixedPointRoute:
     def test_direct_series_against_mpmath(self, p, digits, modulus, angle, real):
         ctx = ctx_new(digits)
         z = _polar_point(ctx, modulus, angle, real)
-        value = _series(p, z, ctx)[0]
-        assert _against_mpmath(p, z, value, ctx) <= 1
+        assert _against_mpmath(p, z, _series_value(p, z, ctx), ctx) <= 1
 
-    # the Pfaff route rounds z/(z-1) and (1-z)^-a, and the value's
-    # sensitivity to those roundings grows with the parameters, so a and b
-    # stay in [-2, 2] and c in (0, 8]
+    # the value's sensitivity to the roundings of z/(z-1), (1-z)^-a and
+    # 1/(1-z) grows with the parameters, so a and b stay in [-2, 2] and c in
+    # (0, 8]
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         p=tiny_hyp_params,
@@ -276,7 +283,7 @@ class TestTinyArgument:
 
 
 class TestPartsFarApart:
-    """_series reads z to 2^-2bits, so a part of z far below it is 0 and no
+    """_sums reads z to 2^-2bits, so a part of z far below it is 0 and no
     integer is as wide as the gap; one within it is summed."""
 
     @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
@@ -287,8 +294,8 @@ class TestPartsFarApart:
         tiny, major = mp.ldexp(mp.mpf(3), -gap_bits), mp.mpf("0.4")
         z = mp.mpc(tiny, major) if minor_is_re else mp.mpc(major, tiny)
         at_major = mp.mpc(0, major) if minor_is_re else mp.mpc(major, 0)
-        assert _series(p, z, ctx30) == _series(p, at_major, ctx30)
-        assert _against_mpmath(p, at_major, _series(p, z, ctx30)[0], ctx30) < 1
+        assert _sums(p, z, ctx30) == _sums(p, at_major, ctx30)
+        assert _against_mpmath(p, at_major, _series_value(p, z, ctx30), ctx30) < 1
 
     def test_a_gap_within_twice_the_bits_is_summed(self, ctx30):
         # 330 bits: within twice this plan's bits, so z is read exactly
@@ -296,7 +303,7 @@ class TestPartsFarApart:
         z = mp.mpc("0.4", mp.ldexp(mp.mpf(1), -331))
         bits = _plan(F_PARAMS, log_abs(z), ctx30)[1]
         assert fixed_point(z, 2 * bits) == fixed_point(z)
-        assert _against_mpmath(F_PARAMS, z, _series(F_PARAMS, z, ctx30)[0], ctx30) < 1
+        assert _against_mpmath(F_PARAMS, z, _series_value(F_PARAMS, z, ctx30), ctx30) < 1
 
 
 def _partial_sums(p, z, n):
@@ -315,9 +322,9 @@ def _partial_sums(p, z, n):
 
 
 class TestRoundingBound:
-    """_series against its exact rational partial sums over its own n: the
-    floors stay within the stated tail_tol / 2, and the one rounding to
-    working precision adds at most half an ulp.  The tail is not involved."""
+    """_sums' integers against the exact rational partial sums over its own
+    n: the floors stay within the stated tail_tol / 2.  The tail is not
+    involved."""
 
     @pytest.mark.parametrize(
         "p",
@@ -332,13 +339,12 @@ class TestRoundingBound:
         mp = ctx30.mp
         # 3/8 + i/4 is a dyadic mpc, so the kernel sees the exact z
         arg = mp.mpc(*(mp.mpf(x.numerator) / x.denominator for x in z)) if z[1] else z[0]
-        value, deriv, n = _series(p, arg, ctx30)
+        value_r, value_i, deriv_r, deriv_i, bits, n = _sums(p, arg, ctx30)
         bound = Fraction(1, 2 * 10 ** (ctx30.working_digits + 5))  # tail_tol / 2
-        for got, exact in zip((value, deriv), _partial_sums(p, (Fraction(z[0]), Fraction(z[1])), n)):
-            parts = (got.real, got.imag) if z[1] else (got, mp.mpf(0))
-            for part, want in zip(parts, exact):
-                half_ulp = Fraction(2) ** (mp.mag(part) - mp.prec - 1) if part else 0
-                assert abs(_exact(part) - want) <= bound + half_ulp
+        for got, exact in zip(((value_r, value_i), (deriv_r, deriv_i)),
+                              _partial_sums(p, (Fraction(z[0]), Fraction(z[1])), n)):
+            for part, want in zip(got, exact):
+                assert abs(Fraction(part, 2**bits) - want) <= bound
 
 
 class TestNearTerminatingParameters:
@@ -426,6 +432,79 @@ class TestDerivative:
         exact = hyp_derivative(F_PARAMS, z, ctx50)
         # central differences are h^2-limited: ~2/3 of working digits here
         assert abs(fd - exact) < ctx50.real(10) ** (-(ctx50.working_digits // 3))
+
+
+# mpf and mpc points of each route: the direct series at |z| <= 1/2, at
+# Re z >= 0 and at |z/(z-1)| > 1/2 (-0.05+0.7i), and Pfaff
+DIRECT_POINTS = ["0.3", "-0.45", ("0.2", "0.1"), ("0.5", "0.4"), ("-0.05", "0.7")]
+PFAFF_POINTS = ["-1", "-0.7", ("-0.8", "0.3"), ("-0.6", "-0.2")]
+
+
+class TestFixedAtMpfAndMpc:
+    """hyp2f1_fixed at mpf and mpc z: its integers against mpmath.hyp2f1 at
+    twice the digits, within the bound its docstring states."""
+
+    PARAMS = [F_PARAMS, F2_PARAMS, HypParams(Fraction(1, 3), Fraction(1, 2), Fraction(3, 2))]
+    IDS = ["F", "F2", "(1/3,1/2;3/2)"]  # a = 1/3: (1-z)^(-a) by an mpmath power
+
+    @staticmethod
+    def _check(p, spec, digits, pfaff):
+        ctx = ctx_new(digits)
+        z = _point(ctx, spec)
+        value_r, value_i, deriv_r, deriv_i, bits = hyp2f1_fixed(p, z, ctx)
+        with mpmath.workdps(2 * ctx.working_digits):
+            a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
+            zq, unit = mpmath.mpmathify(z), mpmath.ldexp(1, -bits)
+            # tail_tol / 2, the tail below tail_tol / 1000 and, through
+            # Pfaff, as much again for the rounding of z/(z-1)
+            e = mpmath.mpf(10) ** -(ctx.working_digits + 5) * mpmath.mpf("0.502")
+            value_bound = deriv_bound = e
+            if pfaff:
+                w, prefactor, v = zq / (zq - 1), (1 - zq) ** -a, 1 / (1 - zq)
+                g, dg = mpmath.hyp2f1(a, c - b, c, w), a * (c - b) / c * mpmath.hyp2f1(a + 1, c - b + 1, c + 1, w)
+                inner = abs(a * g - v * dg)
+                value_bound = abs(prefactor) * e + 2 * (abs(g) + 1) * unit
+                deriv_bound = (abs(prefactor * v) * (abs(a) + abs(v)) * e
+                               + 2 * (abs(prefactor * v) * (abs(dg) + 2) + (abs(prefactor) + abs(v) + 2) * inner + 1)
+                               * unit)
+            value = mpmath.hyp2f1(a, b, c, zq)
+            deriv = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, zq)
+            assert abs(mpmath.mpc(value_r, value_i) * unit - value) <= value_bound
+            assert abs(mpmath.mpc(deriv_r, deriv_i) * unit - deriv) <= deriv_bound
+
+    @pytest.mark.parametrize("digits", [50, 300])
+    @pytest.mark.parametrize("p", PARAMS, ids=IDS)
+    @pytest.mark.parametrize("spec", DIRECT_POINTS, ids=_point_id)
+    def test_direct_within_stated_bound(self, digits, p, spec):
+        self._check(p, spec, digits, pfaff=False)
+
+    @pytest.mark.parametrize("digits", [50, 300])
+    @pytest.mark.parametrize("p", PARAMS, ids=IDS)
+    @pytest.mark.parametrize("spec", PFAFF_POINTS, ids=_point_id)
+    def test_pfaff_within_stated_bound(self, digits, p, spec):
+        self._check(p, spec, digits, pfaff=True)
+
+
+def test_a_fraction_and_its_rounding_take_one_route(ctx50, monkeypatch):
+    # a grid over [-50/48, 50/48] that straddles |z| = 1/2, Re z = 0, z = -1
+    # and |z| = 15/16; F2's Pfaff image (3/2, 1/2; 2) tells the routes apart
+    import hyperpi.hypergeometric as hypergeometric
+
+    kernel, seen = hypergeometric._sums, []
+    monkeypatch.setattr(hypergeometric, "_sums", lambda p, z, ctx: seen.append(p) or kernel(p, z, ctx))
+    routes = set()
+    for k in range(-50, 51):
+        taken = []
+        for z in (Fraction(k, 48), ctx50.real(Fraction(k, 48))):
+            seen.clear()
+            try:
+                hyp2f1(F2_PARAMS, z, ctx50)
+            except RegionError:
+                seen.append("outside")
+            taken.append(tuple(seen))
+        assert taken[0] == taken[1], k
+        routes.add(taken[0])
+    assert routes == {(F2_PARAMS,), (HypParams(Fraction(3, 2), Fraction(1, 2), 2),), ("outside",)}
 
 
 def _per_term_series(p, z, ctx):
@@ -522,11 +601,11 @@ def _exact_sums(p, z, n):
 
 
 class TestFractionBlocks:
-    """_series at a Fraction z, summed a block at a time with one division per
+    """_sums at a Fraction z, summed a block at a time with one division per
     block, against its exact rational partial sums over its own n: as in
     TestRoundingBound, each of the value and the derivative is within
-    tail_tol / 2 plus half an ulp.  One block from _block is within 2 units
-    of its exact sums."""
+    tail_tol / 2.  One block from _block is within 2 units of its exact
+    sums."""
 
     NEAR = TestNearTerminatingParameters.P
     POINTS = [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 7), Fraction(1, 9)]
@@ -549,12 +628,11 @@ class TestFractionBlocks:
 
     @staticmethod
     def _check(p, z, ctx):
-        value, deriv, n = _series(p, z, ctx)
+        value, _, deriv, _, bits, n = _sums(p, z, ctx)
         *exact, den = _exact_sums(p, z, n)
         bound = Fraction(1, 2 * 10 ** (ctx.working_digits + 5))  # tail_tol / 2
         for got, num in zip((value, deriv), exact):
-            half_ulp = Fraction(2) ** (ctx.mp.mag(got) - ctx.mp.prec - 1) if got else 0
-            assert abs(_exact(got) * den - num) <= (bound + half_ulp) * den
+            assert abs(Fraction(got * den - (num << bits), den << bits)) <= bound
 
     @pytest.mark.parametrize(
         "p",

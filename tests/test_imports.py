@@ -44,10 +44,10 @@ LOADED = [
 ]
 
 
-def _fresh(code: str, *argv: str) -> str:
+def _fresh(code: str, *argv: str, site: bool = True) -> str:
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *(() if site else ("-S",)), "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -63,6 +63,14 @@ def test_subcommand_loads_only_what_it_runs(argv, modules):
     assert set(loaded) == modules
     assert not dataclasses
     assert mpmath == (argv[0] != "pi")
+
+
+def test_pi_loads_no_typing():
+    # without site (-S), which can import typing itself from a .pth file
+    code = "import sys; from hyperpi.cli import main; main(sys.argv[1:]); print('typing' in sys.modules)"
+    digits, typing = _fresh(code, "pi", "--digits", "50", site=False).splitlines()
+    assert digits == "3.1415926535897932384626433832795028841971693993751"
+    assert typing == "False"
 
 
 def test_a_context_alone_loads_no_mpmath():
