@@ -19,7 +19,7 @@ CASE is one of:
            at tau = Re + i Im for Re in 0, 0.3, 0.5 and Im in 0.05, 1/4, 1, at
            300 digits (the Re = 0.5 points reduce to Re(tau0) = -1/2), 9 timed
            calls after a warm-up; counts, from the warm-up: lambert_n, the
-           last n of the Lambert sum (`_lambert_count`), pentagonal_n, the
+           last n of the Eisenstein sum (`_lambert_count`), pentagonal_n, the
            largest last n of a pentagonal sum P(y) (`_pentagonal_count`), and
            pentagonal_passes, the number of pentagonal passes (calls of
            `_pentagonal_count`); null where the function sums no such series.

@@ -13,10 +13,11 @@ P(x) P(-x) = P(x^2)^3 / P(x^4) (Borwein & Borwein 1987, ch. 3-4),
     lambda = 16 x P(x)^8 P(x^4)^16 / P(x^2)^24 = 16 x P(q)^24 / (P(x)^8 P(-x)^16)
            = 16 x - 128 x^2 + 704 x^3 - ...
 
-E2, E4 and E6 come together from one fixed-point pass over the Lambert series
-sum n^(k-1) q^n / (1 - q^n) with a stated tail bound.  s2 = (E4/E6)(E2 -
+E2, E4 and E6 come together from one fixed-point pass over their power series
+1 + c_k sum sigma_(k-1)(n) q^n with a stated tail bound.  s2 = (E4/E6)(E2 -
 3/(pi Im tau)) has weight 0 and its bracket weight 2, so both are summed at
-tau0 from that pass, with no law for E2.
+tau0 from that pass, with no law for E2.  Where E2's law or s2 cancels
+digits, one helper makes the pass again at a widened precision.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import math
 from collections import namedtuple
 
 from .errors import IndeterminateFormError, ReductionError
-from .numerics import PrecisionCtx, _tail_bits, ctx_new, exact_mpf, fixed_point, fixed_point_bits, log_abs, pi_reference
+from .numerics import (PrecisionCtx, _long_exponent, _tail_bits, ctx_new, exact_mpf, fixed_point, fixed_point_bits,
+                       log_abs, pi_reference)
 
 MAX_INVERSIONS = 1000  # reduce_tau's cap
 MAX_EXACT_BITS = 1 << 24  # tau_point's cap on the width of tau's exact integers
@@ -119,8 +121,14 @@ def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
     Re(tau0) mod 2 exactly and pi Im(tau0) with the digits of Im(tau0) added,
     so it keeps its relative precision at any height.  Where 2 Re(tau0) is an
     integer x is |x| = e^(-pi Im(tau0)) times 1, i, -1 or -i, with exact zero
-    parts: q = x^2 is real, and P(y) and the Lambert pass take one part."""
+    parts: q = x^2 is real, and P(y) and the Eisenstein pass take one part.
+    Where even |x|^(1/12), the least power of x that eta, lambda and Delta
+    carry, cannot be printed (_long_power), 0 stands for x: E_k and s2 read it
+    as they would x, below their resolution, and those three raise ValueError."""
     mp = ctx.mp
+    tau0 = mp.mpc(_quotient(re, den, mp), _quotient(im, den, mp))
+    if _long_power(im, den, 1 / 12):
+        return tau0, mp.zero
     r = re % (2 * den)
     wide = ctx_new(ctx.target_digits + math.ceil((im // den).bit_length() * math.log10(2)))
     w, pi = wide.mp, pi_reference(wide)
@@ -129,7 +137,12 @@ def _nome(re: int, im: int, den: int, ctx: PrecisionCtx):
     else:
         modulus = ctx.real(w.exp(-pi * exact_mpf(im, w) / exact_mpf(den, w)))
         x = (modulus, mp.mpc(0, modulus), -modulus, mp.mpc(0, -modulus))[2 * r // den]
-    return mp.mpc(_quotient(re, den, mp), _quotient(im, den, mp)), x
+    return tau0, x
+
+
+def _long_power(im: int, den: int, power: float) -> str:
+    """numerics._long_exponent for |x|^power = 2^(-power pi Im(tau0) / ln 2), Im(tau0) = im/den."""
+    return _long_exponent(math.log10(power * math.pi / math.log(2)) + math.log10(im) - math.log10(den))
 
 
 def _rounded(value, t: TauPoint, ctx: PrecisionCtx):
@@ -196,7 +209,9 @@ def _euler(y, ctx: PrecisionCtx):
 def _nome_root(t: TauPoint, ctx: PrecisionCtx):
     """q^(1/24) = e^(pi i Re(tau0)/12) |x|^(1/12) at the nome of tau0: the
     modulus keeps the relative precision of x, and the value is real at
-    Re(tau0) = 0."""
+    Re(tau0) = 0.  ValueError where 0 stands for x (_nome)."""
+    if not t.x:
+        raise ValueError(_long_power(*t.reduced[1:], 1 / 12))
     mp = ctx.mp
     root = mp.root(abs(t.x), 12)
     if t.tau0.real:
@@ -226,32 +241,29 @@ def eta(t: TauPoint, ctx: PrecisionCtx):
 
 
 # ---------------------------------------------------------------------------
-# Eisenstein series (Lambert form)
+# Eisenstein series
 # ---------------------------------------------------------------------------
 
 _EISENSTEIN = {2: -24, 4: 240, 6: -504}
 
 
 def _lambert_count(log_r: float, ctx: PrecisionCtx) -> int:
-    """N, the last n the Lambert pass sums at |q| = r = e^(log_r).
+    """N, the last n the Eisenstein pass sums at |q| = r = e^(log_r).
 
-    |q^n / (1 - q^n)| <= r^n / (1 - r), and the ratio ((n+1)/n)^(k-1) r of
-    successive n^(k-1) r^n falls with n.  For N >= (k-1) / ln(1/r) the ratios
-    past N are at most rho = ((N+2)/(N+1))^(k-1) r < 1, so
-
-        sum_(n>N) n^(k-1) |q^n / (1 - q^n)| <= (N+1)^(k-1) r^(N+1) / ((1-r)(1-rho)).
-
-    Each factor grows with k, and so does |c_k|, so k = 6 bounds all three
-    weights: N is the first n >= max(1, 5 / ln(1/r)) at which 504 times the
-    k = 6 bound is at most tail_tol / 2000, found by doubling and bisection
-    (the bound falls with n there); 3 digits cover the float logarithms.
+    As sigma_(k-1)(n) <= sigma_5(n) <= zeta(5) n^5 < 1.04 n^5 and |c_k| <= 504,
+    k = 6 bounds all three weights.  For N >= 5 / ln(1/r) the ratios
+    ((n+1)/n)^5 r of successive n^5 r^n past N are at most
+    rho = ((N+2)/(N+1))^5 r < 1, so the tail past N is at most
+    1.04 (N+1)^5 r^(N+1) / (1-rho).  N is the first n >= max(1, 5 / ln(1/r))
+    at which 504 times that is at most tail_tol / 2000, found by doubling and
+    bisection (the bound falls with n there); 3 digits cover the float logs.
     """
     r = math.exp(log_r)
     log_limit = -(ctx.working_digits + 8) * math.log(10) - math.log(2 * 504)
 
     def below_limit(n):
         rho = ((n + 2) / (n + 1)) ** 5 * r
-        return 5 * math.log(n + 1) + (n + 1) * log_r - math.log((1 - r) * (1 - rho)) <= log_limit
+        return 5 * math.log(n + 1) + (n + 1) * log_r + math.log(1.04 / (1 - rho)) <= log_limit
 
     low = high = max(1, math.ceil(5 / -log_r))
     while not below_limit(high):
@@ -260,92 +272,72 @@ def _lambert_count(log_r: float, ctx: PrecisionCtx) -> int:
 
 
 def _eisenstein_series(q, ctx: PrecisionCtx):
-    """(E2, E4, E6) summed at the nome q in one pass over the Lambert series
+    """(E2, E4, E6) summed at the nome q in one pass over their power series
 
-        E_k = 1 + c_k S_k,  S_k = sum_(n=1..N) n^(k-1) q^n / (1 - q^n),  (c_2, c_4, c_6) = (-24, 240, -504),
+        E_k = 1 + c_k S_k,  S_k = sum_(n=1..N) sigma_(k-1)(n) q^n,  (c_2, c_4, c_6) = (-24, 240, -504),
 
-    summed in fixed-point integers with `bits` fractional bits.  N is fixed
-    before the loop (_lambert_count), so that the tail past N is within
-    tail_tol / 2 for every k.  A real q skips the imaginary products.
-
-    q is read once, to q~ (numerics.fixed_point: each part truncated toward 0
-    to `bits` fractional bits, so no integer grows with the gap between
-    them), and q~^n is carried by one integer product per term.  Each term
-    q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2 takes one integer
-    division per component, whose quotient shrinks with |q^n|.
+    in fixed-point integers with `bits` fractional bits.  N is fixed before
+    the loop (_lambert_count), so that the tail past N is within tail_tol / 2
+    for every k.  q is read once, to q~ (numerics.fixed_point: each part
+    truncated toward 0 to `bits` fractional bits, so no integer grows with
+    the gap between them), and q~^n is carried by one integer product per
+    term, three for a complex q.  The divisor sums are taken in the other
+    order, S_k = sum_(d<=N) d^(k-1) sum_(m<=N/d) q~^(dm), the inner sums one
+    slice of the powers each and shared by the three k: exact integers.
 
     Guard bits.  With u = 2^-bits each floor moves a complex value by less
     than 2u; r below stands for max(|q|, |q~|), which the float |q| of the
     sizing misses by far less than its 2 slack bits cover.  The power q~^n
     misses q^n by e_n with e_(n+1) < r e_n + |q|^n 2u + 2u, so e_n < 4u / (1-r),
-    and as |1 - q^n| >= 1 - r the exact quotient at q~^n misses by less than
-    5u / (1-r)^3.  The denominator, floored to `bits` fractional bits, moves
-    a quotient of at most r / (1-r) by a factor within u / (1-r)^2 of 1, and
-    the quotient's own floor adds 2u: each term misses by under
-    8u / (1-r)^3.  Weighted by n^(k-1) <= N^(k-1) and summed, and times
-    |c_k| <= 504, E_k misses by under 2^12 N^6 u / (1-r)^3, which `bits`
-    keeps below tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded
-    once to working precision.
+    and E_k misses by |c_k| sum sigma_(k-1)(n) e_n < 504 * 1.04 N^6 4u / (1-r)
+    < 2^12 N^6 u / (1-r) (_lambert_count's bounds), which `bits` keeps below
+    tail_tol / 2.  2^bits + c_k S_k is an exact integer, rounded once.
     """
     log_r = log_abs(q)
     n_terms = _lambert_count(log_r, ctx)
     # _tail_bits' 2 slack bits cover the float rounding of these error bits and r
-    bits = _tail_bits(ctx, 12 + 6 * math.log2(n_terms) - 3 * math.log2(1 - math.exp(log_r)))
+    bits = _tail_bits(ctx, 12 + 6 * math.log2(n_terms) - math.log2(1 - math.exp(log_r)))
     qr, qi, s, _ = fixed_point(q, bits)
     one = 1 << bits
     qr, qi = qr << bits - s, qi << bits - s
     q_sum, q_diff = qr + qi, qi - qr
-    qnr, qni = one, 0  # q~^n
-    sums = [0] * 6  # real and imaginary parts of S_2, S_4 and S_6
-    for n in range(1, n_terms + 1):
-        n3 = n * n * n
-        n5 = n3 * n * n
-        if qi:
-            k1 = qr * (qnr + qni)  # (qnr + i qni)(qr + i qi) in three products
-            qnr, qni = (k1 - qni * q_sum) >> bits, (k1 + qnr * q_diff) >> bits
-            abs2 = qnr * qnr + qni * qni
-            norm = one - 2 * qnr + (abs2 >> bits)
-            lr, li = ((qnr << bits) - abs2) // norm, (qni << bits) // norm
-            sums[1] += n * li
-            sums[3] += n3 * li
-            sums[5] += n5 * li
-        else:
-            qnr = (qnr * qr) >> bits
-            lr = (qnr << bits) // (one - qnr)
-        sums[0] += n * lr
-        sums[2] += n3 * lr
-        sums[4] += n5 * lr
+    powers = [(one, 0)]  # q~^n for n = 0..N
+    for _ in range(n_terms):
+        qnr, qni = powers[-1]
+        k1 = qr * (qnr + qni)  # (qnr + i qni)(qr + i qi) in three products, in one for a real q
+        powers.append(((k1 - qni * q_sum) >> bits, (k1 + qnr * q_diff) >> bits) if qi else (k1 >> bits, 0))
+    inner = [[sum(part[d::d]) for d in range(1, n_terms + 1)] for part in zip(*powers)]  # real, imaginary
+    sums = [[c * sum(d ** (k - 1) * v for d, v in enumerate(part, 1)) for part in inner]
+            for k, c in _EISENSTEIN.items()]
     mp = ctx.mp
+    return tuple(mp.mpc(mp.ldexp(mp.mpf(one + re), -bits), mp.ldexp(mp.mpf(im), -bits)) for re, im in sums)
 
-    def rounded(x):
-        return mp.ldexp(mp.mpf(x), -bits)
 
-    return tuple(mp.mpc(rounded(one + c * sums[2 * i]), rounded(c * sums[2 * i + 1]))
-                 for i, c in enumerate(_EISENSTEIN.values()))
+def _widened_series(t: TauPoint, ctx: PrecisionCtx, lost: int):
+    """(wide, tau0, (E2, E4, E6)) for a value that cancels `lost` digits: the pass
+    again at wide, ctx's target grown by those digits, at tau0's nome formed anew."""
+    wide = ctx_new(ctx.target_digits + lost)
+    tau0, x = _nome(*t.reduced, wide)
+    return wide, tau0, _eisenstein_series(x * x, wide)
 
 
 def eisenstein_all(t: TauPoint, ctx: PrecisionCtx):
-    """(E2, E4, E6) at any tau from one Lambert pass at tau0, times (c tau0 + d)^k,
+    """(E2, E4, E6) at any tau from one pass at tau0, times (c tau0 + d)^k,
     plus 6c (c tau0 + d)/(pi i) for E2: mpfs where 2 Re(tau) is an integer,
     mpcs otherwise.  Where E2's larger term exceeds max(1, |E2|) by a digit or
-    more, all three are computed again at a working precision grown by the
-    digits lost, tau0's nome too, so E2 keeps it relative to max(1, |E2|)."""
-    wide, tau0, x = ctx, t.tau0, t.x
+    more, all three are computed again with the digits lost added
+    (_widened_series), so E2 keeps its precision relative to max(1, |E2|)."""
     _, _, c, d = t.word.matrix()
+    wide, tau0, (e2, e4, e6) = ctx, t.tau0, _eisenstein_series(t.q, ctx)
     while True:
         mp = wide.mp
-        e2, e4, e6 = _eisenstein_series(x * x, wide)
-        if not c:  # d = +-1: E_k(tau) = E_k(tau0)
-            return tuple(_rounded(v, t, ctx) for v in (e2, e4, e6))
-        j = c * tau0 + d
+        j = c * tau0 + d  # +-1 where c = 0, so that E_k(tau) = E_k(tau0)
         j2 = j * j
         head, tail = j2 * e2, 6 * c * j / (mp.mpc(0, 1) * pi_reference(wide))
-        e2 = head + tail
-        lost = (max(mp.mag(head), mp.mag(tail)) - max(1, mp.mag(e2))) * math.log10(2)
+        lost = (max(mp.mag(head), mp.mag(tail)) - max(1, mp.mag(head + tail))) * math.log10(2)
         if lost < 1 or wide is not ctx:
-            return tuple(_rounded(v, t, ctx) for v in (e2, j2 * j2 * e4, j2 * j2 * j2 * e6))
-        wide = ctx_new(ctx.target_digits + math.ceil(lost))
-        tau0, x = _nome(*t.reduced, wide)
+            return tuple(_rounded(v, t, ctx) for v in (head + tail, j2 * j2 * e4, j2 * j2 * j2 * e6))
+        wide, tau0, (e2, e4, e6) = _widened_series(t, ctx, math.ceil(lost))
 
 
 def eisenstein(k: int, t: TauPoint, ctx: PrecisionCtx):
@@ -357,7 +349,7 @@ def eisenstein(k: int, t: TauPoint, ctx: PrecisionCtx):
 
 def weierstrass_g2_g3(t: TauPoint, ctx: PrecisionCtx):
     """(g2, g3) of the lattice Z + Z tau: (4 pi^4 / 3) E4(tau) and
-    (8 pi^6 / 27) E6(tau), from one Lambert pass."""
+    (8 pi^6 / 27) E6(tau), from one Eisenstein pass."""
     pi = pi_reference(ctx)
     _, e4, e6 = eisenstein_all(t, ctx)
     return 4 * pi**4 / 3 * e4, 8 * pi**6 / 27 * e6
@@ -367,7 +359,9 @@ def delta_tau(t: TauPoint, ctx: PrecisionCtx):
     """Discriminant Delta(tau) = (c tau0 + d)^12 (2 pi)^12 q0 P(q0)^24, with q0
     the nome of tau0; real where 2 Re(tau) is an integer.  P^24 is P^3
     squared three times, as mpmath forms a complex power past 10^4 exact
-    bits from exp and log."""
+    bits from exp and log.  ValueError where 0 stands for x (_nome)."""
+    if not t.x:
+        raise ValueError(_long_power(*t.reduced[1:], 2))
     _, _, c, d = t.word.matrix()
     j6 = ((c * t.tau0 + d) ** 3) ** 2
     p24 = _euler(t.q, ctx)[0] ** 3
@@ -411,7 +405,14 @@ def _eta_lambda_series(t: TauPoint, ctx: PrecisionCtx):
 
 def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
     """lambda at any tau: the product at tau0, mapped back by the laws
-    lambda(tau + 1) = lambda/(lambda - 1), lambda(-1/tau) = 1 - lambda."""
+    lambda(tau + 1) = lambda/(lambda - 1), lambda(-1/tau) = 1 - lambda.
+    Where 0 stands for x (_nome), lambda(tau) is 0 or infinity (odd a in the
+    word's matrix) or 1 - O(x) (even a), which only prints, as 1, where
+    Re(tau0) = 0 makes it real; elsewhere ValueError."""
+    if not t.x:
+        if t.word.matrix()[0] % 2 or t.reduced[0]:
+            raise ValueError(_long_power(*t.reduced[1:], 1))
+        return ctx.mp.one
     return t.word.apply_to_lambda(_lambda_series(t, ctx))
 
 
@@ -453,7 +454,7 @@ def s2(t: TauPoint, ctx: PrecisionCtx):
     """s2(tau) = (E4/E6)(E2 - 3/(pi Im tau)), of weight 0: summed at tau0 from
     one pass; indeterminate where E6(tau0), and so E6(tau), is 0.  Near the
     orbit of i, where E6(tau0) and the bracket both vanish, the pass is made
-    again with the digits E6(tau0) lacks added, at tau0's nome formed anew."""
+    again with the digits E6(tau0) lacks added (_widened_series)."""
     e2, e4, e6 = _eisenstein_series(t.q, ctx)
     if abs(e6) <= ctx.zero_tol:
         raise IndeterminateFormError(
@@ -462,7 +463,5 @@ def s2(t: TauPoint, ctx: PrecisionCtx):
         )
     lost, wide, tau0 = math.ceil(1 - ctx.mp.mag(e6) * math.log10(2)), ctx, t.tau0
     if lost > 1:
-        wide = ctx_new(ctx.target_digits + lost)
-        tau0, x = _nome(*t.reduced, wide)
-        e2, e4, e6 = _eisenstein_series(x * x, wide)
+        wide, tau0, (e2, e4, e6) = _widened_series(t, ctx, lost)
     return _rounded(e4 / e6 * (e2 - 3 / (pi_reference(wide) * tau0.imag)), t, ctx)

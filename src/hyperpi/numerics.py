@@ -11,8 +11,8 @@ rebuilds neither; nothing in the package changes its precision after
 construction, so two contexts never see each other's precision.
 
 The oracles share one AGM, on integers (_agm_fixed, with Legendre's sum
-and one stated floor-error bound): ``agm`` reads its operands into it
-exactly, ``legendre``'s Bruns check takes its limit and sum, and the
+and one stated floor-error bound): ``agm`` reads its operands exactly and
+narrows a far ratio step by step before it, ``legendre``'s Bruns check takes its limit and sum, and the
 reference pi is its Gauss-Legendre iteration for pi 2^bits (pi_fixed),
 cached per width: ``pi_reference`` rounds it once to an mpf and
 ``cm.pi_reference_digits`` reads its digits (truncated_digits).  That is
@@ -114,18 +114,27 @@ _IMAG_RE = re.compile(rf"^({_REAL_PATTERN})?[ij]$")
 
 def format_real(x, ctx: PrecisionCtx, digits: int | None = None) -> str:
     """ValueError where the decimal exponent, about mag(x) log10(2), has more
-    digits than Python's int-to-str limit converts: found before mpmath
-    spends its time forming them."""
+    digits than Python's int-to-str limit converts (_long_exponent): found
+    before mpmath spends its time forming them."""
     if digits is None:
         digits = ctx.working_digits + 3
     x = ctx.real(x)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and x and ctx.mp.isfinite(x):
-        length = math.floor(math.log10(abs(ctx.mp.mag(x)) or 1) + math.log10(math.log10(2))) + 1
-        if length > limit:
-            raise ValueError(f"the value's decimal exponent has {length} digits, more than the {limit} "
-                             "Python converts to a string")
+    if x and ctx.mp.isfinite(x):
+        reason = _long_exponent(math.log10(abs(ctx.mp.mag(x)) or 1))
+        if reason:
+            raise ValueError(reason)
     return ctx.mp.nstr(x, digits)
+
+
+def _long_exponent(log10_bits: float) -> str:
+    """Why a value of about 2^(+-10^log10_bits) cannot be printed: its
+    decimal exponent has more digits than Python's int-to-str limit
+    converts.  '' where it can, or where Python has no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    length = math.floor(log10_bits + math.log10(math.log10(2))) + 1
+    if not limit or length <= limit:
+        return ""
+    return f"the value's decimal exponent has {length} digits, more than the {limit} Python converts to a string"
 
 
 def format_complex(z, ctx: PrecisionCtx, digits: int | None = None) -> str:
@@ -210,7 +219,7 @@ def fixed_point(z, bits: int | None = None):
     Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  With no bits z is
     exact, as tau_point's reduction reads it, and the integers are as wide as
     the gap between its parts.  With bits, as the fixed-point kernels (the
-    2F1 and Lambert series) read their argument, s <= bits and each part of
+    2F1 and Eisenstein series) read their argument, s <= bits and each part of
     an mpf or mpc is truncated toward 0, by less than 2^-bits: a part below
     2^-bits is 0, and no integer grows with the gap.  A Fraction stays exact."""
     if isinstance(z, Fraction):
@@ -306,20 +315,29 @@ def _agm_fixed(a: int, b: int, bits: int) -> tuple[int, int, int]:
 
 def agm(a, b, ctx: PrecisionCtx):
     """Common limit of a' = (a+b)/2, b' = sqrt(ab) for positive a, b, to
-    ctx's precision relative to the limit: _agm_fixed on a and b read
-    exactly over 2^bits relative to the larger, with bits the precision p
-    plus 64 guard bits plus log2 of their ratio, so the smaller keeps its
-    digits, sqrt(ab) is at least 2^(p+63) units and the relative shortfall
-    is below n 2^-(p+63); (a_n + b_n)/2 is rounded once."""
+    ctx's precision relative to the limit, on integers.  Each step runs at
+    the precision p plus 64 guard bits plus log2 of the ratio still left: the
+    first reads both operands exactly (the smaller has p + 64 bits), and
+    after each step both are shifted right until the smaller has p + 64 bits
+    again, as sqrt(ab) roughly square-roots the ratio.  Once the ratio is
+    below 4 _agm_fixed ends the iteration at that width.  Every floor and
+    shift lowers an operand by less than a unit of the next step, at most
+    2^-(p+63) of it, and the AGM is homogeneous and increasing in each
+    operand, so the limit falls short by less than 2^-(p+62) per step
+    (n 2^-(p+63) over _agm_fixed's n steps).  (a_n + b_n)/2 is rounded once."""
     mp = ctx.mp
     a, b = ctx.real(a), ctx.real(b)
     if not all(x > 0 and mp.isfinite(x) for x in (a, b)):
         raise ValueError("agm requires positive finite operands")
     parts = [x._mpf_ for x in (a, b)]
     tops = [exp + bc for _, _, exp, bc in parts]  # x < 2^top
-    bits = mp.prec + 64 + max(tops) - min(tops)
-    shift = bits - max(tops)  # each mantissa is shifted left by at least 64
-    a, b, _ = _agm_fixed(*(man << exp + shift for _, man, exp, _ in parts), bits)
+    shift = mp.prec + 64 - min(tops)  # a and b are integers over 2^shift
+    a, b = (man << exp + shift for _, man, exp, _ in parts)  # each shifted left by at least 64
+    while abs(a.bit_length() - b.bit_length()) > 1:
+        a, b = (a + b) >> 1, isqrt(a * b)
+        drop = b.bit_length() - mp.prec - 64
+        a, b, shift = a >> drop, b >> drop, shift - drop
+    a, b, _ = _agm_fixed(a, b, max(a, b).bit_length())
     return mp.ldexp(mp.mpf(a + b), -shift - 1)
 
 

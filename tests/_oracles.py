@@ -154,27 +154,23 @@ def eisenstein_theta_forms(tau, digits):
     return _settled(e4, digits, 1, tau), _settled(e6, digits, 1, tau)
 
 
-def e2_divisor_sum(tau, digits):
-    """E2(tau) = 1 - 24 sum_n sigma_1(n) q^n, q = e^(2 pi i tau), at 20 digits
-    beyond `digits`, for Im(tau) >= 0.01.
+def e2_lambert(tau, digits):
+    """E2(tau) = 1 - 24 sum_n n q^n / (1 - q^n), q = e^(2 pi i tau), at 20
+    digits beyond `digits`, for Im(tau) >= 0.01.
 
-    The divisor sums come from a sieve, not from the Lambert form that
-    hyperpi sums.  Stopping at n_max = (digits + 30) ln 10 / ln(1/|q|) + 100,
-    |q|^n_max is below 10^-(digits+30) e^(-100 ln(1/|q|)), and with
-    sigma_1(n) <= n^2 and |q| <= e^(-2 pi/100) the tail stays below
-    n_max^2 |q|^n_max / (1 - |q|) < 10^-(digits+20).
+    The Lambert form, not the divisor sums sigma_1(n) q^n that hyperpi sums.
+    Stopping at n_max = (digits + 30) ln 10 / ln(1/|q|) + 100, |q|^n_max is
+    below 10^-(digits+30) e^(-100 ln(1/|q|)), and as each term is at most
+    n |q|^n / (1 - |q|), with |q| <= e^(-2 pi/100) the tail stays below
+    n_max |q|^n_max / (1 - |q|)^3 < 10^-(digits+20).
     """
     with mpmath.workdps(digits + 20):
         q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
         n_max = int((digits + 30) * mpmath.log(10) / -mpmath.log(abs(q))) + 100
-        sigma = [0] * (n_max + 1)
-        for d in range(1, n_max + 1):
-            for m in range(d, n_max + 1, d):
-                sigma[m] += d
         total, qn = mpmath.mpc(0), mpmath.mpc(1)
-        for s in sigma[1:]:
+        for n in range(1, n_max + 1):
             qn *= q
-            total += s * qn
+            total += n * qn / (1 - qn)
         return 1 - 24 * total
 
 

@@ -18,7 +18,7 @@ from hyperpi import ctx_new, parse_complex, pi_reference_digits
 from hyperpi.cli import _EVAL_FNS, main
 from hyperpi.suite import agm_oracle_reports, functional_equation_reports, selftest_reports
 
-from _oracles import LAM_2I, e2_divisor_sum, eisenstein_theta_forms, lambda_theta_quotient
+from _oracles import LAM_2I, e2_lambert, eisenstein_theta_forms, lambda_theta_quotient
 
 
 def run(capsys, *argv):
@@ -149,7 +149,7 @@ def _eval_oracle(fn, option):
 def _tau_oracle(fn, tau, digits):
     """The value of `eval --fn fn` at tau, Im(tau) >= 0.01, from mpmath alone
     to about 10^-(digits+10): mpmath's eta and q-Pochhammer symbol, theta
-    functions and a divisor-sum E2.  The digits of Im(tau) are added, as
+    functions and a Lambert-form E2.  The digits of Im(tau) are added, as
     the exponent of the nome needs them."""
     digits += max(0, int(mpmath.log10(tau.imag)))
     with mpmath.workdps(digits + 40):
@@ -159,7 +159,7 @@ def _tau_oracle(fn, tau, digits):
         if fn == "lambda":
             return lambda_theta_quotient(tau, digits)
         if fn == "e2":
-            return e2_divisor_sum(tau, digits)
+            return e2_lambert(tau, digits)
         q = mpmath.exp(2j * mpmath.pi * tau)
         # Delta / (2 pi)^12 = q prod (1 - q^n)^24; mpmath's qp shifts by the
         # exponent of a q below the working precision, where it rounds to 1
@@ -171,7 +171,7 @@ def _tau_oracle(fn, tau, digits):
             "e4": lambda: e4,
             "e6": lambda: e6,
             "j": lambda: e4**3 / (1728 * delta),
-            "s2": lambda: e4 / e6 * (e2_divisor_sum(tau, digits) - 3 / (mpmath.pi * tau.imag)),
+            "s2": lambda: e4 / e6 * (e2_lambert(tau, digits) - 3 / (mpmath.pi * tau.imag)),
         }[fn]()
 
 
@@ -213,7 +213,7 @@ class TestEvalTable:
 
 
 TAU_FNS = [fn for fn, evaluators in _EVAL_FNS.items() if "tau" in evaluators]
-ORACLE_MIN_IM = 0.05  # below it the oracles' theta and divisor sums grow too long
+ORACLE_MIN_IM = 0.05  # below it the oracles' theta and Lambert sums grow too long
 
 
 def _eval_anywhere(fn, point, digits, oracle=None):
@@ -292,6 +292,37 @@ class TestExtremeTau:
         assert time.perf_counter() - start < 5
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
         assert "decimal exponent has 4998 digits" in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="Python prints integers of any length here")
+    @pytest.mark.parametrize("im, length, e4", [("1e-30000", 29998, "1.0e+119996"),
+                                                ("1e-100000", 99998, "1.0e+399996")])
+    def test_a_nome_too_small_to_print_is_not_formed(self, capsys, im, length, e4):
+        # Im(tau0) is about 10^-2 / Im(tau), and x = e^(pi i tau0) would take
+        # as many more digits to form: eta, which carries |x|^(1/12), fails at
+        # once, and E4 reads the nome as 0, below its resolution, and prints
+        # (c tau0 + d)^4 = (10 i Im(tau))^-4 as when x was formed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--fn", "eta", f"--tau=0.3+{im}i", "--digits", "30")
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"error: the value's decimal exponent has {length} digits, more than the {limit} " \
+                      "Python converts to a string\n"
+        assert run(capsys, "eval", "--fn", "e4", f"--tau=0.3+{im}i", "--digits", "30")[:2] == (0, e4 + "\n")
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="Python prints integers of any length here")
+    @pytest.mark.parametrize("re", ["0", "0.4", "0.3"])
+    def test_lambda_beside_a_nome_too_small_to_print(self, capsys, re):
+        # lambda(tau) is 1 - O(x) near 0 and 2/5 and O(x) near 3/10: only the
+        # first, real where Re(tau0) = 0, prints; near 2/5 its imaginary
+        # part, about 16|x|, does not
+        code, out, err = run(capsys, "eval", "--fn", "lambda", f"--tau={re}+1e-30000i", "--digits", "30")
+        if re == "0":
+            assert (code, out) == (0, "1.0\n")
+        else:
+            assert (code, out) == (1, "") and "decimal exponent has 29999 digits" in err
 
     @pytest.mark.parametrize("fn", ["e4", "lambda", "delta", "eta"])
     def test_parts_too_far_apart_for_the_exact_reduction(self, capsys, fn):

@@ -36,12 +36,13 @@ from hyperpi.modular import (
     _pentagonal_count,
     _raw_point,
 )
+from hyperpi.numerics import log_abs
 
 from _oracles import (
     ETA_I,
     LAM_2I,
     LAMBDA_X_COEFFS,
-    e2_divisor_sum,
+    e2_lambert,
     eisenstein_theta_forms,
     eta_product,
     lambda_theta_quotient,
@@ -237,7 +238,7 @@ class TestEisensteinKernel:
     def test_e2_against_divisor_sum(self, tau):
         ctx = ctx_new(300)
         t = tau_point(_mpc(ctx, *tau), ctx)
-        e2 = e2_divisor_sum(t.tau, 300)
+        e2 = e2_lambert(t.tau, 300)
         _assert_matches(_eisenstein_series(_raw_point(t.tau, ctx).q, ctx)[0], e2, ctx)
         _assert_matches(eisenstein(2, t, ctx), e2, ctx)
 
@@ -250,7 +251,7 @@ class TestEisensteinKernel:
         ctx = ctx_new(digits)
         t = tau_point(parse_complex(tau, ctx), ctx)
         with mpmath.workdps(2 * ctx.working_digits):
-            expected = e2_divisor_sum(t.tau, digits + 20)
+            expected = e2_lambert(t.tau, digits + 20)
             error = abs(mpmath.mpc(eisenstein(2, t, ctx)) - expected)
             assert error <= 10 * mpmath.mpf(10) ** -ctx.working_digits * max(1, abs(expected))
 
@@ -275,28 +276,56 @@ class TestEisensteinKernel:
     @pytest.mark.parametrize("digits", [30, 300])
     @pytest.mark.parametrize("im", ["0.25", "0.6", "2"])
     def test_stated_tail_bound_covers_true_tail(self, digits, im):
-        # the bound (N+1)^(k-1) r^(N+1) / ((1-r)(1-rho)) against
-        # sum_(n>N) n^(k-1) |q^n / (1 - q^n)|, both at twice the precision
+        # the bound 1.04 (N+1)^5 r^(N+1) / (1 - rho), times 504, against
+        # |c_k| sum_(n>N) sigma_(k-1)(n) r^n for each k, both at twice the
+        # precision; the divisor sums from a sieve up to where the terms
+        # fall below the tail's last bit
         ctx = ctx_new(digits)
         t = _raw_point(_mpc(ctx, "0.3", im), ctx)
         with mpmath.workdps(2 * ctx.working_digits):
-            q = mpmath.mpc(t.q)
-            r = abs(q)
+            r = abs(mpmath.mpc(t.q))
             n_last = _lambert_count(float(mpmath.log(r)), ctx)
             assert n_last >= 5 / -mpmath.log(r)
+            rho = (mpmath.mpf(n_last + 2) / (n_last + 1)) ** 5 * r
+            assert rho < 1
+            bound = 504 * mpmath.mpf("1.04") * (n_last + 1) ** 5 * r ** (n_last + 1) / (1 - rho)
+            assert bound <= mpmath.mpf(10) ** -(ctx.working_digits + 5) / 2
+            n_max = 2 * n_last + int(4 * ctx.working_digits * math.log(10) / -mpmath.log(r))
             for k, c in ((2, -24), (4, 240), (6, -504)):
-                rho = mpmath.mpf(n_last + 2) ** (k - 1) / mpmath.mpf(n_last + 1) ** (k - 1) * r
-                assert rho < 1
-                bound = mpmath.mpf(n_last + 1) ** (k - 1) * r ** (n_last + 1) / ((1 - r) * (1 - rho))
-                assert abs(c) * bound <= mpmath.mpf(10) ** -(ctx.working_digits + 5) / 2
-                tail, n, qn = mpmath.mpf(0), n_last + 1, q ** (n_last + 1)
-                while True:
-                    term = n ** (k - 1) * abs(qn / (1 - qn))
-                    tail += term
-                    if term < tail * mpmath.eps:
-                        break
-                    n, qn = n + 1, qn * q
-                assert tail <= bound
+                sigma = [0] * (n_max + 1)
+                for d in range(1, n_max + 1):
+                    for m in range(d, n_max + 1, d):
+                        sigma[m] += d ** (k - 1)
+                tail = sum(sigma[n] * r ** n for n in range(n_last + 1, n_max + 1))
+                assert n_max ** 6 * r ** n_max < tail * mpmath.eps
+                assert abs(c) * tail <= bound
+
+    @pytest.mark.parametrize("digits", [50, 300])
+    @pytest.mark.parametrize("m", [(18, 0), (-18, 0), (0, 18), (12, -13), (-7, 16), (1, 1)])
+    def test_pass_within_its_bound_of_the_exact_sums(self, digits, m):
+        # q = (m_r + i m_i) / 2^12, |q| <= 0.0044, is read exactly, so the
+        # pass misses the exact sums 1 + c_k sum_(n<=N) sigma_(k-1)(n) q^n,
+        # with its own N, only by the floors of the powers, which its
+        # docstring bounds by tail_tol / 2, and by the one rounding of each
+        # part to working precision
+        ctx = ctx_new(digits)
+        mp = ctx.mp
+        q = mp.mpc(mp.ldexp(m[0], -12), mp.ldexp(m[1], -12))
+        values = _eisenstein_series(q, ctx)
+        n_last = _lambert_count(log_abs(q), ctx)
+        powers, qn = [], (Fraction(1), Fraction(0))  # q^n for n = 1..N in Fraction pairs
+        for _ in range(n_last):
+            qn = (qn[0] * m[0] / 4096 - qn[1] * m[1] / 4096, qn[0] * m[1] / 4096 + qn[1] * m[0] / 4096)
+            powers.append(qn)
+        with mpmath.workdps(2 * ctx.working_digits):
+            tol = mpmath.mpf(ctx.tail_tol) / 2
+            for value, (k, c) in zip(values, ((2, -24), (4, 240), (6, -504))):
+                sigma = [sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0) for n in range(1, n_last + 1)]
+                exact = [sum(s * p[i] for s, p in zip(sigma, powers)) * c for i in (0, 1)]
+                exact[0] += 1
+                for part, e in zip((value.real, value.imag), exact):
+                    e = mpmath.mpf(e.numerator) / e.denominator
+                    assert abs(mpmath.mpf(part) - e) <= tol + abs(e) * mpmath.mpf(2) ** -mp.prec
 
     @pytest.mark.parametrize("tau", [(0, 2), ("-0.7", "1.3"), (1, "0.8")], ids=["tau0", "tau2", "tau3"])
     def test_s2_bitwise_equals_its_parts(self, tau):
@@ -600,7 +629,7 @@ class TestNearRealAxis:
     def test_e2_against_divisor_sum(self, digits, tau):
         ctx = ctx_new(digits)
         t = tau_point(_mpc(ctx, *tau), ctx)
-        _assert_matches(eisenstein(2, t, ctx), e2_divisor_sum(t.tau, digits), ctx)
+        _assert_matches(eisenstein(2, t, ctx), e2_lambert(t.tau, digits), ctx)
 
 
 class TestS2:

@@ -94,7 +94,8 @@ class TestAgm:
             agm("inf", 1, ctx50)
 
     @pytest.mark.parametrize("a, b", [("1e-61", "2e-61"), ("1e-70", "3e-70"), ("1", "1e-80"), ("1e200", "1"),
-                                      ("1e-200", "3e-200"), ("2e200", "5e200"), ("1e200", "1e-200")])
+                                      ("1e-200", "3e-200"), ("2e200", "5e200"), ("1e200", "1e-200"),
+                                      ("1", "1e-1000"), ("1e-100000", "1")])
     def test_relative_precision_against_mpmath(self, ctx50, a, b):
         # the operands as ctx50 reads them; mpmath's agm at 80 digits
         a, b = ctx50.real(a), ctx50.real(b)
