@@ -10,9 +10,13 @@ CASE is one of:
            fractional bits of the one series both engines sum, F(1/2) with its
            weighted sum (`_plan`).
   hyp2f1   one `hyp2f1` call on F = 2F1(1/2,1/2;1;z) and F2 = 2F1(3/2,3/2;2;z)
-           at mpf z in 0.3, 0.5, -0.45, 0.9, at mpc z in 0.3+0.4i, -0.2+0.1i
-           and at 30, 100 and 300 digits, 3 timed calls after a warm-up;
-           counts: the terms `_sums` sums (`_plan`), and error_eps =
+           at mpf z in 0.3, 0.5, -0.45, 0.9, -0.9, at mpc z in 0.3+0.4i,
+           -0.2+0.1i, -0.8+0.3i (-0.9 and -0.8+0.3i take the Pfaff route,
+           the rest the direct series) and at 30, 100, 300 and 1000 digits,
+           3 timed calls after a warm-up; counts, from the warm-up: terms, the
+           terms `_sums` sums (the largest n `_plan` returns), read_bits, the
+           bits `_sums` reads its argument to (the largest bits argument of
+           `fixed_point`, which `_power` calls at fewer), and error_eps =
            |hyp2f1 - mpmath.hyp2f1| in units of 10^-working, with the oracle
            at 30 more bits.
   qseries  `tau_point` plus one call of eta, E2, E4, E6 or lambda on its point,
@@ -74,22 +78,34 @@ HYP2F1_CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import mpmath
-from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, _plan, hyp2f1
-from hyperpi import numerics
+from hyperpi import hypergeometric, numerics
+from hyperpi.hypergeometric import F2_PARAMS, F_PARAMS, hyp2f1
+
+COUNTERS = {"terms": ("_plan", lambda args, out: out[0]),
+            "read_bits": ("fixed_point", lambda args, out: args[1] if len(args) > 1 else 0)}
+counts = {}
 
 
-def log_abs(z):
-    try:
-        return numerics.log_abs(z)
-    except TypeError:  # an older tree reads log|z| from fixed_point's integers
-        return numerics.log_abs(*numerics.fixed_point(z))
+def counted(name, fn, pick):
+    def wrapper(*args):
+        out = fn(*args)
+        counts[name] = max(counts.get(name, 0), pick(args, out))
+        return out
+    return wrapper
 
 
 digits, z_text, name = int(sys.argv[2]), sys.argv[3], sys.argv[4]
 p = {"F": F_PARAMS, "F2": F2_PARAMS}[name]
 ctx = numerics.ctx_new(digits)
 z = numerics.parse_complex(z_text, ctx) if z_text.endswith("i") else ctx.real(z_text)
-value = hyp2f1(p, z, ctx)
+originals = {attr: getattr(hypergeometric, attr) for attr, _ in COUNTERS.values()}
+for key, (attr, pick) in COUNTERS.items():
+    setattr(hypergeometric, attr, counted(key, originals[attr], pick))
+try:
+    value = hyp2f1(p, z, ctx)
+finally:
+    for attr, original in originals.items():
+        setattr(hypergeometric, attr, original)
 seconds = []
 for _ in range(3):
     start = time.perf_counter()
@@ -101,7 +117,7 @@ with mpmath.workprec(ctx.mp.prec + 30):
     error_eps = float(error * mpmath.mpf(10) ** ctx.working_digits)
 print(json.dumps({f"{digits} {z_text} {name}": {
     "seconds": seconds,
-    "counts": {"terms": _plan(p, log_abs(z), ctx)[0], "error_eps": float(f"{error_eps:.3g}")},
+    "counts": {**counts, "error_eps": float(f"{error_eps:.3g}")},
 }}))
 """
 
@@ -191,8 +207,9 @@ CASES = {
     "pi": Case("seconds of one `hyperpi pi --method M --digits N` call after a warm-up, keyed 'M N'",
                PI_CHILD, [[m, str(d)] for d in (1000, 2000, 10000, 30000) for m in ("identity1", "identity2")]),
     "hyp2f1": Case("seconds of one hyp2f1 call at an mpf or mpc argument, keyed 'digits z series'", HYP2F1_CHILD,
-                   [[str(d), z, name] for d in (30, 100, 300)
-                    for z in ("0.3", "0.5", "-0.45", "0.9", "0.3+0.4i", "-0.2+0.1i") for name in ("F", "F2")]),
+                   [[str(d), z, name] for d in (30, 100, 300, 1000)
+                    for z in ("0.3", "0.5", "-0.45", "0.9", "-0.9", "0.3+0.4i", "-0.2+0.1i", "-0.8+0.3i")
+                    for name in ("F", "F2")]),
     "qseries": Case("seconds of tau_point and one public call on its point (eta, eisenstein(k), lambda), "
                     "keyed 'digits tau fn'", QSERIES_CHILD,
                     [[f"{re}+{im}i", name] for re in ("0", "0.3", "0.5") for im in ("0.05", "0.25", "1")

@@ -49,7 +49,7 @@ _EVAL_FNS = {
     "delta": {"tau": lambda t, ctx: _module("modular").delta_tau(t, ctx)},
     "j": {"lambda": lambda lam, ctx: _module("legendre").normalized_j(lam),
           "tau": lambda t, ctx: _module("modular")._rounded(
-              _module("legendre").normalized_j(_module("modular").lambda_tau(t, ctx)), t, ctx)},
+              _module("legendre").normalized_j(*_module("modular")._lambda_pair(t, ctx)), t, ctx)},
     "s2": {"tau": lambda t, ctx: _module("modular").s2(t, ctx)},
     "F": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F(lam, ctx)},
     "F2": {"lambda": lambda lam, ctx: _module("hypergeometric").legendre_F2(lam, ctx)},

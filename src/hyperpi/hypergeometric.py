@@ -12,13 +12,14 @@ under one region rule:
 Anything else raises RegionError; no silent analytic continuation.
 
 One fixed-point kernel, _sums, sums every series, with z as
-(re + i im) / (2^s d) in integers: an mpf or mpc z read to twice the
-kernel's fractional bits (d = 1), and a Fraction z (the 1/pi identities use
-z = 1/2 and z = -1, whose Pfaff image is 1/2) exactly, with its
-denominator, so it is never rounded.  The loop sums the derivative series
-(DLMF 15.5.1), d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), as
-u_k = t_(k+1) / z with U0 = sum u_k and U1 = sum (k+1) u_k: U1 is the
-derivative and 1 + z U0 the value, so one pass gives both.  It goes
+(re + i im) / (2^s d) in integers: an mpf or mpc z read to the kernel's
+fractional bits and the few more its slopes need (_read_bits, d = 1), and a
+Fraction z (the 1/pi identities use z = 1/2 and z = -1, whose Pfaff image
+is 1/2) exactly, with its denominator, so it is never rounded.  The loop
+sums the derivative series (DLMF 15.5.1),
+d/dz 2F1(a, b; c; z) = (ab/c) 2F1(a+1, b+1; c+1; z), as u_k = t_(k+1) / z
+with U0 = sum u_k and U1 = sum (k+1) u_k: U1 is the derivative and
+1 + z U0 the value, so one pass gives both.  It goes
 _BLOCK terms at a time: at a Fraction z, whose term ratios are small
 integer quotients, a block's ratios are combined exactly in small integers
 and applied with one big-integer division (_block); at an mpf or mpc z,
@@ -86,9 +87,10 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     log|z| = log_az to `bits` fractional bits.
 
     N counts the derivative series (a', b'; c') = (a+1, b+1; c+1), whose
-    terms t'_k = (k+1) u_k c / (ab) have the dominant tail: with n =
-    max(N + 1, |ab/c|) the derivative's tail is |ab/c| times theirs after
-    t'_N, and the value's at most |abz/c| / (n+1) times that.  A series
+    terms t'_k = (k+1) u_k c / (ab) have the dominant tail, and n = N + 1:
+    the derivative's tail is |ab/c| times theirs after t'_N, and the value's
+    at most |abz/c| / (n+1) times that, so the limit the count meets is
+    lowered by the factor max(1, |ab/c|) that covers both.  A series
     with a' or b' a non-positive integer -m ends at N = m + 1.  Otherwise
     let K be the first integer past max(-a', -b', -c') and past the larger
     root of the quadratic (rho - |z|) k^2 - B k - C, rho = (1+|z|)/2, that is
@@ -96,7 +98,8 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     positive and |t'_(k+1) / t'_k| < rho.  The first K ratios are walked
     exactly; from K on, log|t'_m| is log|t'_K| plus lgamma differences and
     falls, and bisection finds the first N > max(K, 2) with
-    |t'_N| rho / (1-rho) <= tail_tol / 1000, a bound on the tail after t'_N.
+    |t'_N| rho / (1-rho) max(1, |ab/c|) <= tail_tol / 1000, which bounds
+    the tail after t'_N times that factor.  No count past the cap is summed.
 
     Two floors move each component of u_(k+1) off the exact product of u_k
     and its ratio by less than 2 units of 2^-bits (at a Fraction z, the u
@@ -135,7 +138,8 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
     count = walk + 1
     if geometric:
         # tail_tol / 1000: 3 digits cover the rounding of the float logarithms
-        log_limit = -(ctx.working_digits + 8) * math.log(10) - math.log(rho / (1 - rho))
+        log_limit = (-(ctx.working_digits + 8) * math.log(10) - math.log(rho / (1 - rho))
+                     - _log_above_one((an - ad) * (bn - bd) * cd, (cn - cd) * ad * bd))  # max(1, |ab/c|)
 
         # x + walk > 0 may be tiny, so it is summed exactly; x + m > 1 is safe in floats
         at_walk = [(float(x), math.lgamma(x + walk)) for x in (q.a, q.b, q.c, 1)]
@@ -147,9 +151,26 @@ def _plan(p: HypParams, log_az: float, ctx: PrecisionCtx):
         count = bisect.bisect_left(range(cap + 1), True, max(count, 3), key=below_limit)
     if count > cap:
         raise ArithmeticError(f"2F1 series did not meet tolerance in {cap} terms")
-    n = max(count + 1, math.ceil(abs(p.a * p.b / p.c)))
+    n = count + 1
     # _tail_bits' 2 slack bits also cover the float rounding of the count
     return n, _tail_bits(ctx, math.log2(4 * n**3) + growth / math.log(2))
+
+
+def _log_above_one(num: int, den: int) -> float:
+    """log max(1, |num / den|) from the integers, so no float overflows."""
+    return max(0.0, math.log(abs(num)) - math.log(abs(den))) if num else 0.0
+
+
+def _read_bits(p: HypParams, log_az: float, bits: int) -> int:
+    """bits + e, the fractional bits _sums reads an mpf or mpc z to, with
+    e = ceil(log2(max(1, m) max(1, |ab/c|))) + 2, m = min(A, 1/|z|) and
+    A = |(a+1)(b+1)/(c+1)|: _sums states why.  log m comes from log|z| and
+    the parameters, never from exp (z may be as small as 2^-2^80).  The 2
+    bits leave a factor above 1.1 of slack in _sums' bound, which covers
+    the float rounding of the logarithms."""
+    (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in p)
+    log_m = min(_log_above_one((an + ad) * (bn + bd) * cd, (cn + cd) * ad * bd), max(0.0, -log_az))
+    return bits + math.ceil((log_m + _log_above_one(an * bn * cd, ad * bd * cn)) / math.log(2)) + 2
 
 
 def _block(u: int, k0: int, ratios):
@@ -210,26 +231,37 @@ def _sums(p: HypParams, z, ctx: PrecisionCtx):
     U1 += (k1+1) S - W = sum (k+1) u_k: two narrow additions per term, and
     U0 and U1 are the integers of per-term sums.
 
-    An mpf or mpc z is read to 2^-2bits (numerics.fixed_point), so no
-    integer grows with the gap between its parts.  Each part moves toward 0
-    by less than 2^-2bits, so every w between z and its reading has
-    |w| <= |z|, |t'_k(w)| <= e^growth and, for k >= 1,
-    |t'_k(w) / w| <= e^growth m, m = min(A, 1/|z|) with
-    A = |(a+1)(b+1)/(c+1)| = |t'_1(w) / w|.  The value, whose derivative is
-    U1 = (ab/c) sum t'_k, moves by less than n^2 e^growth 2^(1/2-2bits), and
-    U1, whose derivative is (ab/c) sum k t'_k / w, by less than
-    n^3 e^growth m 2^(-1/2-2bits): each under a quarter of the floor bound
-    4 n^3 e^growth 2^-bits where m <= 2^bits, i.e. where |z| >= 2^-bits or
-    A <= 2^bits (A is at most 25/12 for the package's parameters).
+    An mpf or mpc z is read to 2^-R, R = _read_bits(p, log|z|, bits) =
+    bits + e (numerics.fixed_point), so no integer grows with the gap
+    between its parts: each part moves toward 0 by less than 2^-R.  The
+    sums are then within the bound below of the series at every x within
+    2^(1-R) |z| of z, in any direction, such as the exact Pfaff image of a
+    rounded w (_pfaff_sums).  Such an x lies within
+    d = (2 + sqrt 2) 2^-R of the reading, and every y between the two has
+    |y| <= |z| (1 + 2^(1-R)), so, with c1 = (1 + 2^(1-R))^n < 1.01,
+    |t'_k(y)| <= c1 e^growth and, for k >= 1, |t'_k(y) / y| <= c1 e^growth m
+    with m = min(A, 1/|z|) and A = |(a+1)(b+1)/(c+1)| = |t'_1(y) / y|
+    (growth, _plan's largest rise of log|t'_k|, also bounds the rise from
+    t'_1).  The value's partial sum has the derivative
+    U1 = (ab/c) sum_(k<n) t'_k and moves by at most |ab/c| n c1 e^growth d;
+    U1, whose derivative is (ab/c) sum_(k<n) k t'_k / y, by at most
+    |ab/c| (n^2/2) c1 e^growth m d.  With 2^e >= 4 max(1, m) max(1, |ab/c|)
+    these are below 0.87 / n^2 and 0.44 / n times n^3 e^growth 2^-bits, a
+    quarter of the floor bound 4 n^3 e^growth 2^-bits, which has room for
+    them: n >= 2, and the floors alone move the value by less than
+    (sqrt 2 n^2 + 3) e^growth units and U1 by less than n^3 e^growth.  So
+    the bound holds for every parameter set and every z.
     """
     if not abs(z) < 1:
         raise RegionError(f"series needs |z| < 1, got |z| = {abs(z)}")
-    n, bits = _plan(p, log_abs(z), ctx)
-    zr, zi, s, d = fixed_point(z, 2 * bits)
+    log_az = log_abs(z)
+    n, bits = _plan(p, log_az, ctx)
+    zr, zi, s, d = fixed_point(z, _read_bits(p, log_az, bits))
     if isinstance(z, Fraction):  # 2^s joins the divisor: no shift
         s, d = 0, d << s
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     dd = ad * bd * d
+    z_sum, z_diff = zr + zi, zi - zr
     ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)
     ui = sum_i = deriv_i = 0
     for k0 in range(1, n, _BLOCK):
@@ -244,8 +276,8 @@ def _sums(p: HypParams, z, ctx: PrecisionCtx):
             num = (an + k * ad) * (bn + k * bd) * cd
             den = (cn + k * cd) * (k + 1) * dd
             if zi:
-                nr, ni = num * zr, num * zi
-                ur, ui = (ur * nr - ui * ni >> s) // den, (ur * ni + ui * nr >> s) // den
+                shared = num * zr * (ur + ui)  # (ur + i ui)(zr + i zi) num in three products
+                ur, ui = (shared - num * z_sum * ui >> s) // den, (shared + num * z_diff * ur >> s) // den
                 si += ui
                 wi += si
             else:
@@ -298,9 +330,9 @@ def hyp2f1_fixed(p: HypParams, z, ctx: PrecisionCtx):
     derivative, plus products of two errors, far smaller.  Here
     1 < |1-z| <= 2, so |v| < 1 and |P| <= 2^|a|: at z = -1 and a = 1/2,
     P = 2^(-1/2) and v = 1/2.  At an mpf or mpc z, w is rounded once, by
-    less than 10^-(2 working + 10) |w| (_pfaff_image): that moves G and G'
-    by their slopes times as much, below tail_tol / 1000 wherever the
-    slopes of G and G' are below 10^(working + 2).
+    less than 2^(1-R) |w| where _sums reads it to 2^-R (_pfaff_sums), and
+    _sums' bound holds at every point that close to the w it reads, so G
+    and G' are within e at the exact image.
 
     Public, as the pi engines call it directly: perfbench's tracer, which
     wraps the public functions of each module, then times their series in
@@ -310,8 +342,8 @@ def hyp2f1_fixed(p: HypParams, z, ctx: PrecisionCtx):
         half, direct = PFAFF_RADIUS, DIRECT_RADIUS
     else:
         half, direct = ctx.real(PFAFF_RADIUS) * (1 + ctx.zero_tol), ctx.real(DIRECT_RADIUS)
-    if abs(z) > half and z.real < 0 and abs(w := _pfaff_image(z, ctx)) <= half:
-        g_r, g_i, dg_r, dg_i, bits, _ = _sums(HypParams(p.a, p.c - p.b, p.c), w, ctx)
+    if abs(z) > half and z.real < 0 and abs(z / (z - 1)) <= half:
+        g_r, g_i, dg_r, dg_i, bits = _pfaff_sums(HypParams(p.a, p.c - p.b, p.c), z, ctx)
         prefactor, v = _power(z, -p.a, bits), _power(z, Fraction(-1), bits)
         inner = [p.a.numerator * g // p.a.denominator - vg
                  for g, vg in zip((g_r, g_i), _product(v, (dg_r, dg_i), bits))]
@@ -323,13 +355,23 @@ def hyp2f1_fixed(p: HypParams, z, ctx: PrecisionCtx):
                       "(Re z < 0, |z/(z-1)| <= 1/2) regions")
 
 
-def _pfaff_image(z, ctx: PrecisionCtx):
-    """w = z/(z-1): exact at a Fraction z, else rounded once at
-    2 working + 10 digits from the exact z - 1."""
+def _pfaff_sums(q: HypParams, z, ctx: PrecisionCtx):
+    """_sums' first five parts for the Pfaff series q at w = z/(z-1): exact
+    at a Fraction z, else rounded once from the exact z - 1 at twice the
+    working precision, and again, and summed again, at the R bits _sums
+    read w to (_read_bits) where those are more.  mpmath rounds each part of
+    the quotient at R bits or more, so w moves by less than 2^(1-R) |w|,
+    within _sums' read error."""
     if isinstance(z, Fraction):
-        return z / (z - 1)
-    wide = _mp_context(2 * ctx.working_digits + 10)
-    return wide.fdiv(z, wide.fsub(z, 1, exact=True))
+        return _sums(q, z / (z - 1), ctx)[:5]
+    mp, prec = ctx.mp, 2 * ctx.mp.prec
+    while True:
+        w = mp.fdiv(z, mp.fsub(z, 1, exact=True), prec=prec)
+        *parts, bits, _ = _sums(q, w, ctx)
+        width = _read_bits(q, log_abs(w), bits)
+        if width <= prec:
+            return (*parts, bits)
+        prec = width
 
 
 def _product(x, y, bits: int):

@@ -65,9 +65,20 @@ def weierstrass_from_lambda(lam) -> LegendreCurve:
     )
 
 
-def normalized_j(lam):
-    """J(lambda) of the Legendre curve; exact for int/Fraction input."""
-    return weierstrass_from_lambda(lam).j
+def normalized_j(lam, mu=None):
+    """J(lambda) = (4/27)(1 - lambda mu)^3 / (lambda mu)^2 of the Legendre
+    curve, with mu = 1 - lambda; exact for int/Fraction input.  A caller that
+    holds mu to more relative precision than 1 - lambda keeps, as
+    lambda(tau) near the cusp lambda = 1 (modular._lambda_pair), passes it."""
+    if isinstance(lam, int):
+        lam = Fraction(lam)
+    product = lam * (1 - lam if mu is None else mu)
+    if product == 0:
+        raise ValueError("J is undefined at lambda in {0, 1}")
+    # products, not ** 3: mpmath powers an mpc whose parts lie far apart
+    # through its logarithm, at a precision as wide as the gap
+    factor = 1 - product
+    return 4 * factor * factor * factor / (27 * product * product)
 
 
 class PeriodPair(namedtuple("PeriodPair", "omega1 h1 F F2")):

@@ -48,15 +48,17 @@ class TransformWord(namedtuple("TransformWord", "letters")):
         return super().__new__(cls, letters)
 
     def apply_to_lambda(self, lam):
+        """(lambda, 1 - lambda) at the word's point, from lambda at the
+        reduced one."""
         # Carry the pair (x, 1-x): S swaps it, and T^m acts as x -> x/(x-1),
         # i.e. (x, y) -> (-x/y, 1/y).  Both are involutions on lambda, so a run
         # acts once when its length is odd.  No step subtracts nearly equal
-        # numbers, so lambda keeps its relative precision near the cusps.
+        # numbers, so both keep their relative precision near the cusps.
         x, y = lam, 1 - lam
         for letter, count in self.letters:
             if count % 2:
                 x, y = (-x / y, 1 / y) if letter == "T" else (y, x)
-        return x
+        return x, y
 
     def matrix(self):
         """(a, b, c, d) with ad - bc = 1 and word(tau) = (a tau + b)/(c tau + d)."""
@@ -409,10 +411,17 @@ def lambda_tau(t: TauPoint, ctx: PrecisionCtx):
     Where 0 stands for x (_nome), lambda(tau) is 0 or infinity (odd a in the
     word's matrix) or 1 - O(x) (even a), which only prints, as 1, where
     Re(tau0) = 0 makes it real; elsewhere ValueError."""
+    return _lambda_pair(t, ctx)[0]
+
+
+def _lambda_pair(t: TauPoint, ctx: PrecisionCtx):
+    """(lambda, 1 - lambda) at any tau, each to its own relative precision
+    (TransformWord.apply_to_lambda), so 1 - lambda keeps its digits where
+    lambda tends to 1; (1, 0) where lambda_tau prints 1."""
     if not t.x:
         if t.word.matrix()[0] % 2 or t.reduced[0]:
             raise ValueError(_long_power(*t.reduced[1:], 1))
-        return ctx.mp.one
+        return ctx.mp.one, ctx.mp.zero
     return t.word.apply_to_lambda(_lambda_series(t, ctx))
 
 

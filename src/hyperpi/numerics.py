@@ -218,10 +218,12 @@ def fixed_point(z, bits: int | None = None):
     """Integers (re, im, s, d), d odd, with (re + i im) / (2^s d) = z for a
     Fraction, mpf or mpc z; d = 1 unless z is a Fraction.  With no bits z is
     exact, as tau_point's reduction reads it, and the integers are as wide as
-    the gap between its parts.  With bits, as the fixed-point kernels (the
-    2F1 and Eisenstein series) read their argument, s <= bits and each part of
-    an mpf or mpc is truncated toward 0, by less than 2^-bits: a part below
-    2^-bits is 0, and no integer grows with the gap.  A Fraction stays exact."""
+    the gap between its parts.  With bits, as the fixed-point kernels read
+    their argument (the 2F1 series to its fractional bits plus the few its
+    slopes need, hypergeometric._read_bits; the Eisenstein pass to its own
+    fractional bits), s <= bits and each part of an mpf or mpc is truncated
+    toward 0, by less than 2^-bits: a part below 2^-bits is 0, and no
+    integer grows with the gap.  A Fraction stays exact."""
     if isinstance(z, Fraction):
         den = z.denominator
         s = (den & -den).bit_length() - 1

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperpi
@@ -369,6 +369,9 @@ class TestExtremeTau:
 
     @settings(max_examples=200, deadline=None)
     @given(fn=st.sampled_from(TAU_FNS), re=st.floats(-10, 10), log10_im=st.floats(-40, 40))
+    # lambda(tau) is 1 - 8.7e-24 there: J formed from lambda alone, not from
+    # the pair (lambda, 1 - lambda), was 5e-21 off
+    @example(fn="j", re=0.0, log10_im=-1.25)
     def test_every_tau_function_anywhere(self, fn, re, log10_im):
         im = 10.0**log10_im
         oracle = (lambda tau: _tau_oracle(fn, tau, 30)) if im >= ORACLE_MIN_IM else None

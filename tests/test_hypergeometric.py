@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -18,9 +19,9 @@ from hyperpi import (
     legendre_F2,
     picard_fuchs_residual,
 )
-from hyperpi.hypergeometric import (F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _rounded, _sums, hyp2f1_fixed,
-                                    legendre_F_F2)
-from hyperpi.numerics import ctx_new, fixed_point, log_abs
+from hyperpi.hypergeometric import (F2_PARAMS, F_PARAMS, _BLOCK, _block, _plan, _read_bits, _rounded, _sums,
+                                    hyp2f1_fixed, legendre_F_F2)
+from hyperpi.numerics import ctx_new, exact_mpf, fixed_point, log_abs
 
 from _oracles import F_HALF, F_MINUS1, alternating_2f1_minus1, central_difference
 
@@ -283,8 +284,9 @@ class TestTinyArgument:
 
 
 class TestPartsFarApart:
-    """_sums reads z to 2^-2bits, so a part of z far below it is 0 and no
-    integer is as wide as the gap; one within it is summed."""
+    """_sums reads z to 2^-R, R = _read_bits(p, log|z|, bits), so a part of
+    z below it is 0 and no integer is as wide as the gap; one within it is
+    summed."""
 
     @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
     @pytest.mark.parametrize("gap_bits", [400, 10**7, 2**80])
@@ -297,13 +299,20 @@ class TestPartsFarApart:
         assert _sums(p, z, ctx30) == _sums(p, at_major, ctx30)
         assert _against_mpmath(p, at_major, _series_value(p, z, ctx30), ctx30) < 1
 
-    def test_a_gap_within_twice_the_bits_is_summed(self, ctx30):
-        # 330 bits: within twice this plan's bits, so z is read exactly
+    @pytest.mark.parametrize("p", [F_PARAMS, F2_PARAMS], ids=["F", "F2"])
+    def test_a_gap_within_the_read_is_summed(self, ctx30, p):
+        # 0.4 + 2^-(R-1) i is read exactly and 0.4 + 2^-(R+1) i as 0.4: R
+        # is bits + e, e = 3 for F and 4 for F2 (A = 9/8 and 25/12,
+        # |ab/c| = 1/4 and 9/8)
         mp = ctx30.mp
-        z = mp.mpc("0.4", mp.ldexp(mp.mpf(1), -331))
-        bits = _plan(F_PARAMS, log_abs(z), ctx30)[1]
-        assert fixed_point(z, 2 * bits) == fixed_point(z)
-        assert _against_mpmath(F_PARAMS, z, _series_value(F_PARAMS, z, ctx30), ctx30) < 1
+        bits = _plan(p, log_abs(mp.mpf("0.4")), ctx30)[1]
+        read = _read_bits(p, log_abs(mp.mpf("0.4")), bits)
+        assert read == bits + {F_PARAMS: 3, F2_PARAMS: 4}[p]
+        within, below = (mp.mpc("0.4", mp.ldexp(mp.mpf(1), -read + shift)) for shift in (1, -1))
+        assert _read_bits(p, log_abs(within), bits) == read
+        assert fixed_point(within, read) == fixed_point(within)
+        assert _against_mpmath(p, within, _series_value(p, within, ctx30), ctx30) < 1
+        assert _sums(p, below, ctx30) == _sums(p, mp.mpf("0.4"), ctx30)
 
 
 def _partial_sums(p, z, n):
@@ -347,6 +356,53 @@ class TestRoundingBound:
                 assert abs(Fraction(part, 2**bits) - want) <= bound
 
 
+# c within 10^-6 of 0, -1, -2 or -3: |ab/c| or A = |(a+1)(b+1)/(c+1)| near 10^6
+near_pole_hyp_params = st.builds(
+    HypParams, small_fractions, small_fractions,
+    st.builds(lambda k, eps: k + eps, st.integers(-3, 0), st.sampled_from([Fraction(1, 10**6), Fraction(-1, 10**6)])),
+)
+
+
+class TestReadRule:
+    """_sums reads an mpf or mpc z to 2^-R, R = _read_bits(p, log|z|, bits),
+    and its integers stay within _plan's floor bound 4 n^3 e^growth 2^-bits
+    of the exact partial sums at every x within 2^(1-R) |z| of z, in any
+    direction, as at the exact Pfaff image of a rounded w.  The random
+    parameter sets reach A = |(a+1)(b+1)/(c+1)| and |ab/c| far above 1, and
+    x carries 64 bits past the read."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        p=st.one_of(hyp_params, near_pole_hyp_params),
+        digits=st.integers(5, 40),
+        modulus=st.one_of(st.floats(0.05, 0.75), st.floats(1e-12, 0.05)),
+        angle=st.floats(-cmath.pi, cmath.pi),
+        real=st.booleans(),
+        tail=st.integers(0, 2**64 - 1),
+        nudge=st.floats(-1, 1),
+        turn=st.floats(-cmath.pi, cmath.pi),
+    )
+    def test_within_floor_bound_at_the_unread_point(self, p, digits, modulus, angle, real, tail, nudge, turn):
+        ctx = ctx_new(digits)
+        zf = cmath.rect(modulus, (angle > 0) * cmath.pi if real else angle)
+        width = _read_bits(p, math.log(abs(zf)), _plan(p, math.log(abs(zf)), ctx)[1]) + 64
+        unit = Fraction(1, 2**width)
+        # x, dyadic with 64 bits past the read, and z = x + eta with
+        # |eta| < 2^(1-R) |x|, which _sums is given
+        x = [Fraction(round(part / 2.0**64 / unit) * 2**64 + tail) * unit for part in (zf.real, zf.imag)]
+        x[1] *= not real
+        eta = cmath.rect(0.99 * nudge * 2.0 ** (65 - width) * abs(zf), 0 if real else turn)
+        zq = [part + round(shift / unit) * unit for part, shift in zip(x, (eta.real, eta.imag))]
+        mp = ctx.mp
+        z = mp.mpc(*(mp.ldexp(exact_mpf(int(part / unit), mp), -width) for part in zq))
+        *parts, bits, n = _sums(p, z if not real else z.real, ctx)
+        read = _read_bits(p, log_abs(z), bits)
+        assume(sum((a - b) ** 2 for a, b in zip(x, zq)) <= Fraction(4, 4**read) * sum(a**2 for a in zq))
+        bound = Fraction(_floor_bound(p, z, n)) / 2**bits
+        for got, want in zip((parts[:2], parts[2:]), _partial_sums(p, tuple(x), n)):
+            assert sum((Fraction(g, 2**bits) - w) ** 2 for g, w in zip(got, want)) <= bound**2
+
+
 class TestNearTerminatingParameters:
     """a within 10^-80 of -5: the series does not end at the sixth term,
     and its terms grow for thousands of terms before they fall."""
@@ -372,6 +428,38 @@ class TestNearTerminatingParameters:
         oracle = self._oracle()
         with mpmath.workdps(300):
             assert abs(value - oracle) <= abs(oracle) * mpmath.mpf(ctx30.eps)
+
+
+class TestSmallC:
+    """c = 10^-8 and 10^-12, where |ab/c| is 2.5 10^7 and 2.5 10^11: _plan
+    lowers its limit by that factor in place of summing that many terms, so
+    each call stays within the cap and returns in milliseconds."""
+
+    @pytest.mark.parametrize("c", [Fraction(1, 10**8), Fraction(1, 10**12)], ids=["1e-8", "1e-12"])
+    @pytest.mark.parametrize("z", ["0.3", "-0.8"])
+    def test_within_the_cap_and_against_mpmath(self, monkeypatch, c, z):
+        import hyperpi.hypergeometric as hypergeometric
+
+        ctx = ctx_new(20)
+        kernel, counts = hypergeometric._sums, []
+
+        def counted(p, w, ctx):
+            sums = kernel(p, w, ctx)
+            counts.append(sums[5])
+            return sums
+
+        monkeypatch.setattr(hypergeometric, "_sums", counted)
+        p = HypParams(Fraction(1, 2), Fraction(1, 2), c)
+        z = ctx.real(z)
+        start = time.perf_counter()
+        value, deriv = hypergeometric._hyp2f1_pair(p, z, ctx)
+        assert time.perf_counter() - start < 1
+        assert counts and max(counts) <= 80 * (ctx.working_digits + 10) + 200  # _plan's cap
+        with mpmath.workdps(60):
+            a, cq, zq = mpmath.mpf(1) / 2, mpmath.mpf(c.numerator) / c.denominator, mpmath.mpmathify(z)
+            for got, want in ((value, mpmath.hyp2f1(a, a, cq, zq)),
+                              (deriv, a * a / cq * mpmath.hyp2f1(a + 1, a + 1, cq + 1, zq))):
+                assert abs(mpmath.mpf(got) - want) <= abs(want) * mpmath.mpf(ctx.eps)
 
 
 # Fractions, mpfs and mpcs (as (re, im) strings) in the direct region and,
@@ -455,9 +543,9 @@ class TestFixedAtMpfAndMpc:
         with mpmath.workdps(2 * ctx.working_digits):
             a, b, c = (mpmath.mpf(x.numerator) / x.denominator for x in (p.a, p.b, p.c))
             zq, unit = mpmath.mpmathify(z), mpmath.ldexp(1, -bits)
-            # tail_tol / 2, the tail below tail_tol / 1000 and, through
-            # Pfaff, as much again for the rounding of z/(z-1)
-            e = mpmath.mpf(10) ** -(ctx.working_digits + 5) * mpmath.mpf("0.502")
+            # tail_tol / 2 and the tail below tail_tol / 1000; through Pfaff
+            # the rounding of z/(z-1) is within the first
+            e = mpmath.mpf(10) ** -(ctx.working_digits + 5) * mpmath.mpf("0.501")
             value_bound = deriv_bound = e
             if pfaff:
                 w, prefactor, v = zq / (zq - 1), (1 - zq) ** -a, 1 / (1 - zq)
@@ -483,6 +571,11 @@ class TestFixedAtMpfAndMpc:
     @pytest.mark.parametrize("spec", PFAFF_POINTS, ids=_point_id)
     def test_pfaff_within_stated_bound(self, digits, p, spec):
         self._check(p, spec, digits, pfaff=True)
+
+    def test_pfaff_at_1000_digits(self):
+        # w = z/(z-1) rounded at twice the working precision, read to
+        # bits + e: the image's rounding is part of the read error
+        self._check(F_PARAMS, ("-0.8", "0.3"), 1000, pfaff=True)
 
 
 def test_a_fraction_and_its_rounding_take_one_route(ctx50, monkeypatch):
@@ -512,7 +605,7 @@ def _per_term_series(p, z, ctx):
     from a per-term loop: each term shifted by s, divided, and added to
     both full-width sums, the derivative's with its weight k+1."""
     n, bits = _plan(p, log_abs(z), ctx)
-    zr, zi, s, d = fixed_point(z, 2 * bits)
+    zr, zi, s, d = fixed_point(z, _read_bits(p, log_abs(z), bits))
     (an, ad), (bn, bd), (cn, cd) = (f.as_integer_ratio() for f in (p.a, p.b, p.c))
     ur = sum_r = deriv_r = (an * bn * cd << bits) // (ad * bd * cn)
     ui = sum_i = deriv_i = 0
@@ -534,6 +627,8 @@ def _floor_bound(p, z, n):
     q, log_az = p.shifted(), log_abs(z)
     log_term = low = growth = 0.0
     for k in range(n):
+        if not (q.a + k) * (q.b + k):
+            break  # the series ends
         log_term += math.log(abs((q.a + k) * (q.b + k) / ((q.c + k) * (k + 1)))) + log_az
         low = min(low, log_term)
         growth = max(growth, log_term - low)
